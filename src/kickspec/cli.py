@@ -268,7 +268,7 @@ def cmd_spectrum(args) -> int:
         theta = theta_sequence(spec, args.dim)
         residuals = [abs(cotangent_residual(
             float(x), matrix.ensemble.states[0], theta,
-            matrix.ensemble.strengths[0] / spec.hbar))
+            matrix.kick_phases[0]))
             for x in decomposition.eigenphases]
         summary["max_secular_residual"] = max(residuals)
     atomic_write_text(out / "summary.json",
@@ -308,12 +308,13 @@ def cmd_scount(args) -> int:
               "gamma_grid": list(gammas), "x_grid": list(xs),
               "n_grid": grid, "variant": args.variant, "eta": eta,
               "precision": args.precision}
-    key = manifest_hash(params)
+    # the cache key covers the code version; the manifest hash does not
+    key = manifest_hash({"params": params, "version": __version__})
     out = Path(args.out)
     cache = CellCache(out / ".cache")
     cached = cache.get(key)
     window = None
-    if cached is None:
+    if not (isinstance(cached, dict) and {"cells", "labels"} <= cached.keys()):
         sweep = gamma_sweep(args.j, eta, beta, gammas, xs, grid,
                             variant=args.variant, threads=args.threads)
         window = sweep.window
@@ -365,7 +366,6 @@ def cmd_dynamics(args) -> int:
     spec = _spectrum_from_args(args)
     ensemble = _ensemble_from_args(args, args.dim)
     matrix = build_floquet(spec, ensemble, args.dim)
-    decomposition = eigen_decompose(matrix)
     if len(matrix.ensemble):
         if not 0 <= args.state_index < len(matrix.ensemble):
             raise ValueError(f"--state-index out of range for rank {args.rank}")
@@ -396,7 +396,8 @@ def cmd_dynamics(args) -> int:
         "unitarity_defect": matrix.unitarity_defect,
     }
     if len(matrix.ensemble):
-        mean, mass = wiener_average(trace, decomposition, args.state_index)
+        mean, mass = wiener_average(trace, eigen_decompose(matrix),
+                                    args.state_index)
         summary["point_mass_sum"] = mass
         summary["wiener_gap"] = abs(mean - mass)
     atomic_write_text(out / "summary.json",

@@ -1,4 +1,5 @@
-"""Truncated Floquet operators, their eigen-decomposition, and dynamics.
+"""Truncated Floquet operators, their spectra from the secular equation, and
+dynamics.
 
 The one-period operator of a rank-N kicked system decomposes as
 V = U + sum_k R_k with R_k = (e^{i lambda_k/hbar} - 1) |psi_k><psi_k| U and
@@ -13,17 +14,26 @@ sign ambiguity between the two is inherent to the kicked-evolution
 literature; the additive form is the default because the trace-class
 computation is stated in it.
 
-Everything is dense and desk-scale: dim <= 4096.
+Nothing here factorises a dense matrix.  When the kick states have pairwise
+disjoint supports, V is a direct sum of rank-1 problems plus untouched basis
+states.  The eigenphases of each rank-1 block are the roots of the cotangent
+secular equation sum_n |a_n|^2 cot((x - theta_n)/2) = cot(lambda/(2 hbar)),
+one in each gap between the weighted poles theta_n, and the spectral weights
+are the point masses B(x)/sin^2(lambda/(2 hbar)); roots are found in the
+offset from the nearer pole (Bunch, Nielsen and Sorensen 1978; Gragg and
+Reichel 1990 for the unitary case), O(dim^2) per block.  Dynamics apply V
+matrix-free, O(dim * N) per kick.  The dense matrix is assembled only on
+request (``FloquetMatrix.entries``), for tests and oracles; dim <= 4096.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EnsembleError,
@@ -38,6 +48,7 @@ from .spectral import (
     KickState,
     ThetaSequence,
     alpha_sequence,
+    point_mass,
     theta_sequence,
 )
 
@@ -56,15 +67,33 @@ __all__ = [
 
 MAX_DIM = 4096
 UNITARITY_TOL = 1e-10
+WEIGHT_SUM_TOL = 1e-10
+TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(np.float64).eps)
+# A root is accepted once |f| is within this many ulps of the sum of the
+# magnitudes of its terms, the rounding error of evaluating f itself.
+_RESIDUAL_ULPS = 8.0
+_MAX_ITERATIONS = 100
+# Elements per (roots x poles) tile of the secular sums: each temporary
+# array of a tile stays at 512 kB.
+_TILE_ELEMENTS = 1 << 16
+# Complex elements per block of recorded states in evolve (4 MB).
+_RECORD_ELEMENTS = 1 << 18
 Convention = Literal["additive_r_k", "exponential_product"]
 
 
 @dataclass(frozen=True)
 class FloquetMatrix:
-    """Dense truncated Floquet operator with its construction provenance."""
+    """Truncated Floquet operator V = (I + sum_k mu_k P_k) U by its parts.
+
+    ``u`` is the diagonal of U, ``kick_phases[k]`` the signed lambda_k/hbar
+    of the convention and ``ensemble`` holds the states truncated to ``dim``.
+    ``entries`` assembles the dense matrix on first access.
+    """
 
     dim: int
-    entries: np.ndarray
+    u: np.ndarray
+    kick_phases: tuple[float, ...]
     convention: Convention
     spectrum: BaseSpectrum
     ensemble: KickEnsemble
@@ -72,9 +101,29 @@ class FloquetMatrix:
     unitarity_defect: float
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
+        u = np.asarray(self.u, dtype=np.complex128)
+        u.setflags(write=False)
+        object.__setattr__(self, "u", u)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Kick factors mu_k = e^{i kick_phases[k]} - 1."""
+        return _kick_factors(self.kick_phases)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense dim x dim matrix (I + sum_k mu_k P_k) @ diag(u)."""
+        kick = np.eye(self.dim, dtype=np.complex128)
+        for state, mu_k in zip(self.ensemble.states, self.mu):
+            psi = state.coefficients
+            kick += mu_k * np.outer(psi, psi.conj())
+        entries = kick * self.u[None, :]
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        return entries
+
+
+def _kick_factors(kick_phases) -> np.ndarray:
+    return np.exp(1j * np.asarray(kick_phases, dtype=float)) - 1.0
 
 
 def truncate_state(state: KickState, dim: int) -> KickState:
@@ -118,6 +167,10 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
     left, with + for the additive convention and - for the product form.
     Ensemble states are truncated and renormalised to ``dim`` first; the
     ensemble must stay orthonormal after that cut.
+
+    V is unitary exactly when every |1 + mu_k| = 1 and the truncated states
+    are orthonormal, so ``unitarity_defect`` is the largest deviation from
+    either condition, O(N^2 dim) to measure.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -138,39 +191,42 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
         truncated = ensemble
 
     sign = 1.0 if convention == "additive_r_k" else -1.0
-    kick = np.eye(dim, dtype=np.complex128)
-    for state, strength in zip(truncated.states, truncated.strengths):
-        lam = strength / spec.hbar
-        mu = np.exp(1j * sign * lam) - 1.0
-        if abs(mu) < 1e-12:
+    kick_phases = tuple(sign * strength / spec.hbar
+                        for strength in truncated.strengths)
+    mu = _kick_factors(kick_phases)
+    for strength, mu_k in zip(truncated.strengths, mu):
+        if abs(mu_k) < 1e-12:
             raise TrivialPerturbationError(
                 f"kick strength {strength} is a no-op: lambda/hbar congruent "
                 "to 0 mod 2*pi")
-        psi = state.coefficients
-        kick += mu * np.outer(psi, psi.conj())
-    entries = kick * u_diag[None, :]  # (I + sum mu_k P_k) @ diag(u)
 
-    gram = entries.conj().T @ entries
-    defect = float(np.max(np.abs(gram - np.eye(dim))))
+    defect = max((abs(abs(1.0 + mu_k) - 1.0) for mu_k in mu), default=0.0)
+    if len(truncated):
+        psi = np.stack([s.coefficients for s in truncated.states])
+        gram = psi.conj() @ psi.T
+        defect = max(defect, float(np.max(np.abs(gram - np.eye(len(psi))))))
     if defect > UNITARITY_TOL * dim:
         raise ToleranceError(
             f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL * dim:.3e}")
-    return FloquetMatrix(dim=dim, entries=entries, convention=convention,
-                         spectrum=spec, ensemble=truncated, theta=theta,
+    return FloquetMatrix(dim=dim, u=u_diag, kick_phases=kick_phases,
+                         convention=convention, spectrum=spec,
+                         ensemble=truncated, theta=theta,
                          unitarity_defect=defect)
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Sorted eigenphases of V with spectral weights per kick state.
+    """Sorted eigenphases of V with spectral weights per probe state.
 
-    weights[k, i] = |<psi_k | v_i>|**2; each row sums to 1 because the Schur
-    vectors of a normal matrix form an orthonormal eigenbasis.
+    weights[k, i] = |<phi_k | v_i>|**2 for an orthonormal eigenbasis v_i of
+    V, so each row sums to 1.  A degenerate eigenvalue has no unique
+    eigenbasis: only weights summed over it are basis-free.  For the extra
+    copies of coincident poles in a kicked block, a probe's whole weight
+    on that eigenspace sits on the first copy.
     """
 
     eigenphases: np.ndarray
     weights: np.ndarray
-    vectors: np.ndarray
     source: FloquetMatrix
 
     def point_mass_sum(self, k: int) -> float:
@@ -178,37 +234,240 @@ class EigenDecomposition:
         return float(np.sum(self.weights[k] ** 2))
 
 
+class _SecularBlock:
+    """Eigenphases of one rank-1 block (I + mu |a><a|) U on the support of a.
+
+    Exactly coincident poles are deflated: each extra copy of a pole stays an
+    eigenphase with no weight on ``a``, and the group's merged weight enters
+    the secular sum.  Each root is stored as the pole it was solved from
+    (``origin``, an index into ``poles``) and its offset ``tau`` from it, so
+    distances to nearby poles are known without cancellation.
+    """
+
+    def __init__(self, indices: np.ndarray, coefficients: np.ndarray,
+                 theta: ThetaSequence, kick_phase: float):
+        unit = theta.unit_values[indices]
+        order = np.argsort(unit, kind="stable")
+        self.indices = indices[order]
+        self.a = coefficients[self.indices]
+        unit = unit[order]
+        starts = np.flatnonzero(np.r_[True, unit[1:] != unit[:-1]])
+        self.starts = starts
+        self.poles = unit[starts]  # on the 2**-53 grid: differences are exact
+        self.pole_weights = np.add.reduceat(np.abs(self.a) ** 2, starts)
+        self.cot_kick = 1.0 / math.tan(0.5 * kick_phase)
+        self.kick_phase = kick_phase
+        self.origin, self.tau, self.b_inverse = self._solve()
+        x = TWO_PI * self.poles[self.origin] + self.tau
+        x = np.where(x < 0.0, x + TWO_PI, x)
+        self.roots = np.where(x >= TWO_PI, x - TWO_PI, x)
+        counts = np.diff(np.r_[starts, unit.size])
+        # extra copies of coincident poles, listed by their pole index
+        self.copies = np.repeat(np.arange(self.poles.size), counts - 1)
+
+    def _half_angles(self, origin, tau):
+        """(x - theta_n)/2 for x = pole[origin] + tau, rows by root, columns
+        by pole, with the pole differences reduced to [-1/2, 1/2] turns."""
+        diff = self.poles[origin, None] - self.poles[None, :]
+        diff -= np.rint(diff)
+        return 0.5 * (TWO_PI * diff + tau[:, None])
+
+    def _tiles(self, rows: int):
+        step = max(1, _TILE_ELEMENTS // self.poles.size)
+        for lo in range(0, rows, step):
+            yield slice(lo, min(lo + step, rows))
+
+    def _other_poles(self, origin, tau):
+        """Sums over every pole but the origin, for each root estimate.
+
+        Returns sum w cot(d/2) - cot(lambda/2), its term magnitudes, and
+        sum w / sin^2(d/2), with d = x - theta_n.
+        """
+        f = np.empty(tau.size)
+        scale = np.empty(tau.size)
+        b_inv = np.empty(tau.size)
+        w = self.pole_weights
+        for tile in self._tiles(tau.size):
+            half = self._half_angles(origin[tile], tau[tile])
+            s = np.sin(half)
+            cot = w * (np.cos(half) / s)
+            inv_sq = w / (s * s)
+            rows = np.arange(half.shape[0])
+            cot[rows, origin[tile]] = 0.0
+            inv_sq[rows, origin[tile]] = 0.0
+            f[tile] = cot.sum(axis=1)
+            scale[tile] = np.abs(cot).sum(axis=1)
+            b_inv[tile] = inv_sq.sum(axis=1)
+        return f - self.cot_kick, scale + abs(self.cot_kick), b_inv
+
+    def _solve(self):
+        """One root of the secular equation in each gap between poles.
+
+        The secular function f decreases from +inf to -inf across a gap.  Its
+        sign at the midpoint picks the nearer pole as the origin; then a
+        safeguarded Newton iteration in y = cot(tau/2) models the origin's
+        term w_o * y exactly and the other poles to first order, bisecting
+        when a step would leave the bracket or the last one failed to halve
+        |f|.  A root is accepted on a residual test: |f| within rounding of
+        its terms.
+        """
+        m = self.poles.size
+        gap = np.empty(m)
+        gap[:-1] = np.diff(self.poles)
+        gap[-1] = (self.poles[0] - self.poles[-1]) + 1.0  # wraps past 2*pi
+        left = np.arange(m)
+        right = (left + 1) % m
+        mid = math.pi * gap
+        f_mid, _, _ = self._other_poles(left, mid)
+        f_mid += self.pole_weights / np.tan(0.5 * mid)
+        toward_right = f_mid > 0.0
+        origin = np.where(toward_right, right, left)
+        sign = np.where(toward_right, -1.0, 1.0)
+        w_o = self.pole_weights[origin]
+        lo = np.where(toward_right, -mid, 0.0)
+        hi = np.where(toward_right, 0.0, mid)
+        tau = sign * mid
+        b_inverse = np.empty(m)
+        last_f = np.full(m, np.inf)
+        newton = np.zeros(m, dtype=bool)
+        active = np.arange(m)
+        for _ in range(_MAX_ITERATIONS):
+            t = tau[active]
+            o = origin[active]
+            psi, scale, b_other = self._other_poles(o, t)
+            s = np.sin(0.5 * t)
+            y = np.cos(0.5 * t) / s
+            f = w_o[active] * y + psi
+            b_inverse[active] = w_o[active] / (s * s) + b_other
+            done = np.abs(f) <= _RESIDUAL_ULPS * _EPS * (
+                scale + w_o[active] * np.abs(y))
+            # f decreases in tau: a positive value puts the root above t
+            lo[active] = np.where(f > 0.0, t, lo[active])
+            hi[active] = np.where(f > 0.0, hi[active], t)
+            width = hi[active] - lo[active]
+            done |= width <= 2.0 * _EPS * np.maximum(np.abs(lo[active]),
+                                                     np.abs(hi[active]))
+            slow = np.abs(f) > 0.5 * last_f[active]
+            last_f[active] = np.abs(f)
+            # Newton in y: df/dy = w_o + sin^2(tau/2) * b_other
+            y_new = y - f / (w_o[active] + s * s * b_other)
+            sg = sign[active]
+            step = sg * 2.0 * np.arctan2(1.0, sg * y_new)
+            inside = (step > lo[active]) & (step < hi[active])
+            use_newton = inside & ~(newton[active] & slow)
+            newton[active] = use_newton
+            tau[active] = np.where(use_newton, step,
+                                   0.5 * (lo[active] + hi[active]))
+            tau[active[done]] = t[done]
+            active = active[~done]
+            if active.size == 0:
+                return origin, tau, b_inverse
+        raise ToleranceError(
+            f"secular iteration left {active.size} roots unconverged after "
+            f"{_MAX_ITERATIONS} steps")
+
+    def own_weights(self) -> np.ndarray:
+        """Point masses of the roots on this block's own kick state."""
+        return point_mass(self.roots, self.kick_phase, self.b_inverse)
+
+    def probe_weights(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|<phi|v>|**2 for the roots, and for the extra pole copies.
+
+        A root's eigenvector is v[n] ∝ a_n / (e^{ix} - e^{i theta_n}), so
+        |<phi|v>|**2 = |sum_n conj(phi_n) a_n (cot(d_n/2) + i)|**2 / B^-1(x)
+        with d_n = x - theta_n; O(dim * M) per probe.
+        """
+        c = np.conj(phi[self.indices]) * self.a
+        c_poles = np.add.reduceat(c, self.starts)
+        overlap = np.empty(self.poles.size, dtype=np.complex128)
+        for tile in self._tiles(self.poles.size):
+            half = self._half_angles(self.origin[tile], self.tau[tile])
+            overlap[tile] = (np.cos(half) / np.sin(half)) @ c_poles
+        overlap += 1j * c_poles.sum()
+        roots = np.abs(overlap) ** 2 / self.b_inverse
+        # the eigenspace of a pole with k copies is the (k-1)-dimensional
+        # part of its coordinates orthogonal to a: phi's projection onto it
+        # goes to the first copy
+        phi_sq = np.add.reduceat(np.abs(phi[self.indices]) ** 2, self.starts)
+        deflated = np.maximum(
+            phi_sq - np.abs(c_poles) ** 2 / self.pole_weights, 0.0)
+        copies = np.zeros(self.copies.size)
+        _, first = np.unique(self.copies, return_index=True)
+        copies[first] = deflated[self.copies[first]]
+        return roots, copies
+
+
+def _secular_blocks(matrix: FloquetMatrix) -> tuple[list[_SecularBlock],
+                                                     np.ndarray]:
+    """Rank-1 blocks of V and the indices no kick state touches."""
+    touched = np.zeros(matrix.dim, dtype=np.int64)
+    supports = []
+    for state in matrix.ensemble.states:
+        support = np.flatnonzero(state.coefficients)
+        touched[support] += 1
+        supports.append(support)
+    if np.any(touched > 1):
+        raise EnsembleError(
+            "kick states share basis index "
+            f"{int(np.flatnonzero(touched > 1)[0])}; the secular solver "
+            "needs pairwise disjoint supports")
+    blocks = [_SecularBlock(support, state.coefficients, matrix.theta, phase)
+              for support, state, phase in zip(supports, matrix.ensemble.states,
+                                               matrix.kick_phases)]
+    return blocks, np.flatnonzero(touched == 0)
+
+
 def eigen_decompose(matrix: FloquetMatrix,
                     ensemble: KickEnsemble | None = None) -> EigenDecomposition:
-    """Full eigen-decomposition of the (normal) Floquet operator.
+    """Eigenphases of V and the spectral weights of each probe state.
 
-    Goes through a complex Schur triangularisation so the eigenbasis is
-    orthonormal by construction; eigenvalue moduli are validated against 1
-    rather than assumed.
+    Kick states must have pairwise disjoint supports (EnsembleError
+    otherwise); V is then a direct sum of rank-1 blocks, solved through the
+    cotangent secular equation, and of untouched basis states e_n, which keep
+    the phase theta_n.  Weights on the operator's own ensemble (the default
+    probe) are the point masses B(x)/sin^2(lambda/(2 hbar)); any other probe
+    ensemble is projected onto the explicit rank-1 eigenvectors.  Each row of
+    weights must sum to 1 within WEIGHT_SUM_TOL, else ToleranceError.
     """
     if matrix.unitarity_defect > UNITARITY_TOL * matrix.dim:
         raise ToleranceError("input matrix is not unitary to tolerance")
-    ensemble = matrix.ensemble if ensemble is None else ensemble
-    t, z = scipy.linalg.schur(np.asarray(matrix.entries), output="complex")
-    eigvals = np.diag(t)
-    moduli_defect = float(np.max(np.abs(np.abs(eigvals) - 1.0)))
-    if moduli_defect > UNITARITY_TOL:
-        raise ToleranceError(
-            f"eigenvalue moduli deviate from 1 by {moduli_defect:.3e}")
-    phases = np.angle(eigvals) % (2.0 * math.pi)
+    own = ensemble is None or ensemble is matrix.ensemble
+    probes = matrix.ensemble.states if own else ensemble.states
+    if any(state.dim != matrix.dim for state in probes):
+        raise EnsembleError(f"probe states must have dimension {matrix.dim}")
+    blocks, bare = _secular_blocks(matrix)
+
+    phases = np.concatenate(
+        [matrix.theta.values[bare]]
+        + [part for block in blocks
+           for part in (block.roots, TWO_PI * block.poles[block.copies])])
+    weights = np.zeros((len(probes), phases.size))
+    if not own:
+        for p, state in enumerate(probes):
+            weights[p, :bare.size] = np.abs(state.coefficients[bare]) ** 2
+    offset = bare.size
+    for k, block in enumerate(blocks):
+        roots = slice(offset, offset + block.roots.size)
+        copies = slice(roots.stop, roots.stop + block.copies.size)
+        if own:
+            weights[k, roots] = block.own_weights()
+        else:
+            for p, state in enumerate(probes):
+                weights[p, roots], weights[p, copies] = \
+                    block.probe_weights(state.coefficients)
+        offset = copies.stop
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
-    vectors = z[:, order]
-    if len(ensemble):
-        overlaps = np.vstack([state.coefficients.conj() @ vectors
-                              for state in ensemble.states])
-        weights = np.abs(overlaps) ** 2
-    else:
-        weights = np.zeros((0, matrix.dim))
+    weights = weights[:, order]
+    sums_defect = np.abs(weights.sum(axis=1) - 1.0)
+    if sums_defect.size and float(sums_defect.max()) > WEIGHT_SUM_TOL:
+        raise ToleranceError(
+            f"spectral weights sum to 1 only within "
+            f"{float(sums_defect.max()):.3e} > {WEIGHT_SUM_TOL:.0e}")
     phases.setflags(write=False)
     weights.setflags(write=False)
     return EigenDecomposition(eigenphases=phases, weights=weights,
-                              vectors=vectors, source=matrix)
+                              source=matrix)
 
 
 @dataclass(frozen=True)
@@ -236,34 +495,40 @@ class DynamicsTrace:
 
 
 def evolve(matrix: FloquetMatrix, state: KickState,
-           spec: BaseSpectrum | None = None, n_kicks: int = 1,
-           _chunk: int = 1024) -> DynamicsTrace:
-    """Iterate V on a state for n_kicks periods via phase multiplication.
+           spec: BaseSpectrum | None = None, n_kicks: int = 1) -> DynamicsTrace:
+    """Iterate V on a state for n_kicks periods, matrix-free.
 
-    Works in the eigenbasis (one Schur decomposition up front), so the cost
-    per kick is O(dim) for the survival amplitude and O(dim^2 / chunk
-    batching) for the energies; no repeated matrix-vector products.
+    Each kick is psi <- U psi, then psi += Psi (mu * (Psi^H psi)) with the
+    kick states as the columns of Psi: O(dim * N) per kick and no
+    decomposition.  States are recorded in blocks of bounded size, from which
+    c_n = <psi_0, psi_n> and <H0>_n are taken.
     """
     if n_kicks < 1:
         raise ValueError("n_kicks must be at least 1")
     spec = matrix.spectrum if spec is None else spec
-    psi = truncate_state(state, matrix.dim).coefficients
-    decomp = eigen_decompose(matrix, matrix.ensemble)
-    z = decomp.vectors
-    phases = decomp.eigenphases
-    d = z.conj().T @ psi
+    psi0 = truncate_state(state, matrix.dim).coefficients
     h0 = alpha_sequence(spec, matrix.dim)
+    u = matrix.u
+    kicks = np.array([s.coefficients for s in matrix.ensemble.states],
+                     dtype=np.complex128).reshape(-1, matrix.dim).T
+    kicks_h = kicks.conj().T
+    mu = matrix.mu
 
-    steps = np.arange(n_kicks + 1)
     amplitudes = np.empty(n_kicks + 1, dtype=np.complex128)
     energies = np.empty(n_kicks + 1, dtype=np.float64)
-    weights = np.abs(d) ** 2
-    for lo in range(0, n_kicks + 1, _chunk):
-        hi = min(lo + _chunk, n_kicks + 1)
-        block = np.exp(1j * np.outer(steps[lo:hi], phases))
-        amplitudes[lo:hi] = block @ weights.astype(np.complex128)
-        coeffs = (block * d[None, :]) @ z.T  # basis amplitudes per kick
-        energies[lo:hi] = (np.abs(coeffs) ** 2) @ h0
+    rows = min(1024, _RECORD_ELEMENTS // matrix.dim)
+    block = np.empty((rows, matrix.dim), dtype=np.complex128)
+    psi = psi0.copy()
+    for lo in range(0, n_kicks + 1, rows):
+        hi = min(lo + rows, n_kicks + 1)
+        for j in range(hi - lo):
+            if lo + j:
+                psi = u * psi
+                psi += kicks @ (mu * (kicks_h @ psi))
+            block[j] = psi
+        recorded = block[: hi - lo]
+        amplitudes[lo:hi] = recorded @ psi0.conj()
+        energies[lo:hi] = (recorded.real ** 2 + recorded.imag ** 2) @ h0
     return DynamicsTrace(amplitudes=amplitudes, energies=energies,
                          source=matrix, state=state)
 

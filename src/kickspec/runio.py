@@ -143,7 +143,8 @@ class CellCache:
     """Disk cache of computed sweep rows, keyed by exact parameter hash.
 
     A cached entry is reused only when the requesting run's hash matches the
-    stored key byte for byte; any parameter change misses.
+    stored key byte for byte; any parameter change misses.  An entry that
+    cannot be read or parsed is a miss too, and the next ``put`` replaces it.
     """
 
     def __init__(self, directory: Path):
@@ -153,12 +154,12 @@ class CellCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str):
-        path = self._path(key)
-        if not path.exists():
+        try:
+            with open(self._path(key), "r") as handle:
+                stored = json.load(handle)
+        except (OSError, ValueError):  # missing, unreadable or truncated
             return None
-        with open(path, "r") as handle:
-            stored = json.load(handle)
-        if stored.get("key") != key:
+        if not isinstance(stored, dict) or stored.get("key") != key:
             return None
         return stored.get("rows")
 

@@ -367,20 +367,21 @@ def b_inverse_per_kick(x: float, ensemble: KickEnsemble, theta: ThetaSequence,
     return per_k, product
 
 
-def point_mass(x: float, lambda_over_hbar: float, b_inverse) -> float:
+def point_mass(x, lambda_over_hbar: float, b_inverse):
     """Spectral point mass at e^{ix} from the partial B^-1 value.
 
     Equals B(x) / sin^2(lambda/(2*hbar)), the real form of the prefactor
     -4(1+mu)/mu**2 with mu = e^{i lambda/hbar} - 1.  A Divergent marker means
-    B(x) = 0: the point carries no mass.
+    B(x) = 0: the point carries no mass.  An array of B^-1 values (one per
+    point of an array x) gives the array of masses.
     """
     s = math.sin(0.5 * lambda_over_hbar)
-    if s * s < POLE_TOL:
+    if abs(s) < POLE_TOL:
         raise TrivialPerturbationError(
             f"lambda/hbar = {lambda_over_hbar} is congruent to 0 mod 2*pi")
     if isinstance(b_inverse, Divergent):
         return 0.0
-    if not b_inverse > 0.0:
+    if not np.all(np.asarray(b_inverse) > 0.0):
         raise ValueError("B^-1 partial sums are positive for nonempty states")
     return (1.0 / b_inverse) / (s * s)
 

@@ -164,6 +164,27 @@ class TestSpectrumCommand:
                           for n in range(8))
         assert phases == pytest.approx(expected, abs=1e-12)
 
+    def test_product_convention_residual_uses_signed_kick(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["spectrum", "--beta", "golden", "--rank", "1",
+                     "--dim", "32", "--convention", "exponential_product",
+                     "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_secular_residual"] <= 1e-6
+
+    def test_dense_matrix_never_built(self, tmp_path, monkeypatch):
+        from kickspec.floquet import FloquetMatrix
+
+        def refuse(self):
+            raise AssertionError("the CLI assembled the dense matrix")
+
+        monkeypatch.setattr(FloquetMatrix, "entries", property(refuse))
+        for command in ("spectrum", "dynamics"):
+            assert main([command, "--beta", "golden", "--rank", "2",
+                         "--lambdas", "1.0,2.0", "--dim", "32",
+                         "--out", str(tmp_path / command)]) == 0
+
     def test_rank1_secular_residual_small(self, tmp_path):
         out = tmp_path / "run"
         code = main(["spectrum", "--beta", "golden", "--rank", "1",
@@ -223,6 +244,39 @@ class TestScountCommand:
         assert (out / ".cache").exists()
         assert main(args) == 0  # second run hits the cache
         assert (out / "cells.csv").read_bytes() == first
+
+
+    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["scount", "--j", "1", "--beta", "golden",
+                "--gamma", "0.75", "--n-grid", "1e3:1e4:2",
+                "--x-count", "2", "--out", str(out)]
+        assert main(args) == 0
+        first = (out / "cells.csv").read_bytes()
+        (entry,) = (out / ".cache").iterdir()
+        entry.write_text(entry.read_text()[:40])  # a truncated write
+        assert main(args) == 0
+        assert (out / "cells.csv").read_bytes() == first
+        json.loads(entry.read_text())  # recomputed and overwritten
+        entry.write_text('{"key": "%s", "rows": {}}' % entry.stem)
+        assert main(args) == 0
+        assert (out / "cells.csv").read_bytes() == first
+
+    def test_cache_key_covers_version(self, tmp_path, monkeypatch):
+        import kickspec.cli as cli_mod
+
+        out = tmp_path / "run"
+        args = ["scount", "--j", "1", "--beta", "golden",
+                "--gamma", "0.75", "--n-grid", "1e3:1e4:2",
+                "--x-count", "2", "--out", str(out)]
+        assert main(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        monkeypatch.setattr(cli_mod, "__version__", "99.0.0")
+        assert main(args) == 0
+        assert len(list((out / ".cache").iterdir())) == 2
+        rerun = json.loads((out / "manifest.json").read_text())
+        assert rerun["hash"] == manifest["hash"]
+        assert rerun["params"] == manifest["params"]
 
 
 class TestDynamicsCommand:

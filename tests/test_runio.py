@@ -99,3 +99,14 @@ class TestCellCache:
         cache = CellCache(tmp_path / "cache")
         cache.put(manifest_hash({"p": 1}), {"cells": []})
         assert cache.get(manifest_hash({"p": 2})) is None
+
+    def test_unreadable_entries_miss(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        key = manifest_hash({"p": 1})
+        cache.put(key, {"cells": [[1, 2.0]]})
+        path = tmp_path / "cache" / f"{key}.json"
+        for text in (path.read_text()[:20], "[1, 2]", "", "\udcff"):
+            path.write_text(text, errors="surrogateescape")
+            assert cache.get(key) is None
+        cache.put(key, {"cells": []})
+        assert cache.get(key) == {"cells": []}
