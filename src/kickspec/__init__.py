@@ -56,6 +56,7 @@ from .errors import (
 )
 from .floquet import (
     MAX_DIM,
+    MAX_KICKS,
     DynamicsTrace,
     EigenDecomposition,
     FloquetMatrix,
@@ -67,6 +68,7 @@ from .floquet import (
     wiener_average,
 )
 from .rationals import (
+    MAX_TERMS,
     ContinuedFraction,
     RationalApprox,
     TypeEstimate,

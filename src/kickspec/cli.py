@@ -3,8 +3,8 @@
 Subcommands: discrepancy, weyl, spectrum, scount, dynamics.  Every run writes
 its result tables as CSV plus a manifest.json recording the full parameter
 map and its content hash; identical flag sets produce byte-identical CSVs,
-including under --threads parallelism (cells are assembled by index, never by
-completion time).
+including under scount's --threads parallelism (cells are assembled by index,
+never by completion time).
 
 Exit codes: 0 success, 2 usage, 3 resource limit, 4 numerical tolerance
 violation.
@@ -137,6 +137,17 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     if not values:
         raise ValueError("empty list")
     return values
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"needs an integer of at least 1, got {text!r}")
+    return value
 
 
 def _spectrum_from_args(args) -> BaseSpectrum:
@@ -427,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, default_out: str):
         p.add_argument("--out", default=default_out,
                        help="output directory (default %(default)s)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps")
         p.add_argument("--precision", type=int, default=None, metavar="BITS",
                        help="denominator bits for named constants "
                             "(default: 200 continued-fraction terms)")
@@ -496,6 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None,
                    help="irrationality type for the window annotation "
                         "(default: estimated from beta)")
+    p.add_argument("--threads", type=_thread_count, default=1,
+                   help="worker threads over (gamma, x) pairs")
     common(p, "runs/scount")
     p.set_defaults(func=cmd_scount)
 

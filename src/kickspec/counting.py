@@ -13,6 +13,12 @@ Interval counts A(J_N(x), N) are tied to the exact discrepancy through
 |A(J, N) - N*|J|| <= N * D_N, which holds for every interval by definition of
 the discrepancy, and is asserted in every sweep cell.
 
+``divergence_scan`` and ``gamma_sweep`` share one sweep core.  It builds the
+phases theta_n, the exact D_N for every grid size and one window state per
+gamma once for the whole sweep, and evaluates each cell with the same
+inequality code as ``inequality_check`` plus one ``b_lower_bounds`` call,
+which also supplies #S(x).
+
 Distances are circular on [0, 2*pi): plain absolute differences undercount
 near the wrap-around, and eigenphases live on the circle.
 """
@@ -20,7 +26,7 @@ near the wrap-around, and eigenphases live on the circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -187,21 +193,15 @@ class CountReport:
             raise ValueError("counts cannot exceed the number of terms")
 
 
-def inequality_check(x: float, spec: SequenceSpec, gamma: float, n: int,
-                     variant: Variant = "combescure",
-                     delta: float = DEFAULT_DELTA) -> CountReport:
-    """Verify |A(J_N(x), N) - N*|J_N|| <= N * D_N on the sequence (n**j beta).
+def _inequality_report(x: float, interval: IntervalJ, points: np.ndarray,
+                       d_n: float, delta: float) -> CountReport:
+    """The inequality side of one (x, N) cell, on the first N sequence points.
 
-    The exact discrepancy makes the inequality unconditional; a violation
-    beyond float slack is a ToleranceError, not a data point.  The returned
-    report carries only the inequality sides; s_count and b_inverse stay at
-    zero here (they are filled by the sweep cells, which know the window
-    state).
+    s_count and b_inverse stay at zero; the sweep fills them from
+    b_lower_bounds.
     """
-    interval = make_interval(x, n, gamma, variant)
-    pts = sequence_points(spec, n)
-    a_count = count_interval(pts, interval)
-    d_n = discrepancy_exact(pts).d_n
+    n, gamma, variant = interval.n, interval.gamma, interval.variant
+    a_count = count_interval(points, interval)
     rhs = n * d_n
     lhs = abs(a_count - n * interval.length)
     anchored = None
@@ -218,10 +218,28 @@ def inequality_check(x: float, spec: SequenceSpec, gamma: float, n: int,
                        anchored_lhs=anchored)
 
 
+def inequality_check(x: float, spec: SequenceSpec, gamma: float, n: int,
+                     variant: Variant = "combescure",
+                     delta: float = DEFAULT_DELTA) -> CountReport:
+    """Verify |A(J_N(x), N) - N*|J_N|| <= N * D_N on the sequence (n**j beta).
+
+    The exact discrepancy makes the inequality unconditional; a violation
+    beyond float slack is a ToleranceError, not a data point.  The returned
+    report carries only the inequality sides; s_count and b_inverse stay at
+    zero here (they are filled by the sweep cells, which know the window
+    state and run this same evaluation on shared points and discrepancies).
+    """
+    interval = make_interval(x, n, gamma, variant)
+    pts = sequence_points(spec, n)
+    return _inequality_report(x, interval, pts, discrepancy_exact(pts).d_n,
+                              delta)
+
+
 @dataclass(frozen=True)
 class BInverseBounds:
     """Lower bounds for the partial sum of B^-1(x)."""
 
+    s_count: int  # #S(x)
     per_term_bound: float  # 4 * #S(x)
     widened_bound: float  # (1/pi**2) * #S_bourget(x) * log N / N**(2(1-gamma))
     b_inverse: float | Divergent
@@ -251,8 +269,8 @@ def b_lower_bounds(x: float, state: KickState, theta: ThetaSequence,
         if value < widened:
             raise ToleranceError(
                 f"B^-1 partial sum {value:.6e} below widened bound {widened:.6e}")
-    return BInverseBounds(per_term_bound=per_term, widened_bound=widened,
-                          b_inverse=value)
+    return BInverseBounds(s_count=s_count, per_term_bound=per_term,
+                          widened_bound=widened, b_inverse=value)
 
 
 @dataclass(frozen=True)
@@ -313,40 +331,52 @@ def _monomial_spectrum(spec: SequenceSpec) -> BaseSpectrum:
     return BaseSpectrum(beta=tuple(beta))
 
 
-def _scan_one_x(x: float, gamma: float, sizes: Sequence[int],
-                theta: ThetaSequence, state: KickState,
-                d_by_n: dict[int, float], variant: Variant,
-                delta: float) -> tuple[list[CellResult], GrowthLabel]:
-    weights = np.abs(state.coefficients)
-    dist = circle_distance(x, theta.values)
-    hit_s = (weights > 0.0) & (dist <= weights)
-    s_cum = np.cumsum(hit_s)
-    cells: list[CellResult] = []
-    counts: list[int] = []
-    for n in sizes:
-        interval = make_interval(x, n, gamma, variant)
-        unit = theta.unit_values[1:n + 1]
-        a_count = int(np.count_nonzero(
-            (unit >= interval.lower) & (unit < interval.upper)))
-        rhs = n * d_by_n[n]
-        lhs = abs(a_count - n * interval.length)
-        holds = lhs <= rhs * (1.0 + _INEQ_SLACK) + _INEQ_SLACK
-        if not holds:
-            raise ToleranceError(
-                f"counting inequality violated at x={x}, N={n}")
-        s_count = int(s_cum[n])  # indices 1..n inclusive
-        bounds = b_lower_bounds(x, state, theta, n + 1)
-        anchored = None
-        if variant == "bourget":
-            anchored = abs(a_count - 2.0 * n ** (2.0 * (1.0 - gamma - delta)))
-        report = CountReport(
-            n=n, a_count=a_count, s_count=s_count, lhs=lhs, rhs=rhs,
-            b_inverse=bounds.b_inverse, holds=holds, variant=variant,
-            delta=delta if variant == "bourget" else None,
-            anchored_lhs=anchored)
-        cells.append(CellResult(x=x, gamma=gamma, report=report))
-        counts.append(s_count)
-    return cells, _growth_label(counts)
+def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
+           x_grid: Sequence[float], n_grid: Sequence[int], variant: Variant,
+           delta: float, threads: int,
+           window: GammaWindow | None = None) -> SweepResult:
+    """The one sweep core: cells in (gamma, x, N) order, one label per pair.
+
+    theta, the per-N discrepancies and one window state per gamma are built
+    once; each (gamma, x) pair is then pure work on those immutable arrays.
+    """
+    sizes = sorted(int(n) for n in n_grid)
+    if len(sizes) < 2:
+        raise ValueError("n_grid needs at least two sizes")
+    n_max = sizes[-1]
+    theta = theta_sequence(_monomial_spectrum(spec), n_max + 1)
+    d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
+    states = {gamma: power_law_state(gamma, n_max + 1) for gamma in gammas}
+
+    def scan(pair: tuple[float, float]) -> list[CellResult]:
+        gamma, x = pair
+        cells = []
+        for n in sizes:
+            report = _inequality_report(
+                x, make_interval(x, n, gamma, variant),
+                theta.unit_values[1:n + 1], d_by_n[n], delta)
+            bounds = b_lower_bounds(x, states[gamma], theta, n + 1)
+            report = replace(report, s_count=bounds.s_count,
+                             b_inverse=bounds.b_inverse)
+            cells.append(CellResult(x=x, gamma=gamma, report=report))
+        return cells
+
+    xs = tuple(x_grid)
+    pairs = [(gamma, x) for gamma in gammas for x in xs]
+    if threads > 1 and len(pairs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_pair = list(pool.map(scan, pairs))
+    else:
+        per_pair = [scan(pair) for pair in pairs]
+    labels = {(x, gamma): _growth_label([c.report.s_count for c in part])
+              for (gamma, x), part in zip(pairs, per_pair)}
+    membership = None if window is None else {g: g in window for g in gammas}
+    return SweepResult(gamma_grid=gammas, x_grid=xs, n_grid=tuple(sizes),
+                       cells=tuple(c for part in per_pair for c in part),
+                       labels=labels, window=window,
+                       window_membership=membership)
 
 
 def divergence_scan(spec: SequenceSpec, gamma: float,
@@ -357,39 +387,13 @@ def divergence_scan(spec: SequenceSpec, gamma: float,
     """Count A(J_N(x), N) and #S(x) over a geometric N grid for several x.
 
     Every cell also carries the discrepancy inequality sides and the partial
-    B^-1 sum, with the lower bounds asserted.  Shared inputs (theta values,
-    per-N discrepancies, the window state) are computed once; the per-x work
-    is pure on immutable arrays, so it may run on a thread pool, and results
-    are always assembled in x-grid order regardless of completion order.
+    B^-1 sum, with the lower bounds asserted.  theta, the per-N
+    discrepancies and the window state are computed once per scan; each x
+    is pure work on those immutable arrays, so it may run on a thread pool,
+    and results are always assembled in x-grid order regardless of
+    completion order.
     """
-    sizes = sorted(int(n) for n in n_grid)
-    if len(sizes) < 2:
-        raise ValueError("n_grid needs at least two sizes")
-    n_max = sizes[-1]
-    base = _monomial_spectrum(spec)
-    theta = theta_sequence(base, n_max + 1)
-    state = power_law_state(gamma, n_max + 1)
-    d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
-
-    xs = list(x_grid)
-    if threads > 1 and len(xs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda x: _scan_one_x(x, gamma, sizes, theta, state, d_by_n,
-                                      variant, delta), xs))
-    else:
-        results = [_scan_one_x(x, gamma, sizes, theta, state, d_by_n,
-                               variant, delta) for x in xs]
-
-    cells: list[CellResult] = []
-    labels: dict[tuple[float, float], GrowthLabel] = {}
-    for x, (x_cells, label) in zip(xs, results):
-        cells.extend(x_cells)
-        labels[(x, gamma)] = label
-    return SweepResult(gamma_grid=(gamma,), x_grid=tuple(xs),
-                       n_grid=tuple(sizes), cells=tuple(cells), labels=labels)
+    return _sweep(spec, (gamma,), x_grid, n_grid, variant, delta, threads)
 
 
 def gamma_sweep(j: int, eta_estimate: float, beta: RationalApprox,
@@ -400,27 +404,19 @@ def gamma_sweep(j: int, eta_estimate: float, beta: RationalApprox,
     """Run divergence scans across an exponent grid, annotated with the
     window (1/2, 1/2 + 1/(2*eta*j)) membership of each gamma.
 
-    The window marks where the counting argument forces divergence; outside
-    it the labels are reported without any assertion (that regime depends on
-    the unproven Weyl-sum exponent).
+    theta and the per-N discrepancies depend only on (j, beta, max N), so
+    they are built once for the whole grid, with one window state per gamma;
+    the thread pool maps over (gamma, x) pairs and cells come back in
+    (gamma, x, N) order.  The window marks where the counting argument
+    forces divergence; outside it the labels are reported without any
+    assertion (that regime depends on the unproven Weyl-sum exponent).
     """
     gammas = tuple(float(g) for g in gamma_grid)
     if any(not 0.5 < g <= 1.0 for g in gammas):
         raise ValueError("gamma grid must lie inside (1/2, 1]")
-    window = gamma_window(j, eta_estimate)
-    spec = SequenceSpec(j=j, beta=beta)
-    cells: list[CellResult] = []
-    labels: dict[tuple[float, float], GrowthLabel] = {}
-    for gamma in gammas:
-        part = divergence_scan(spec, gamma, x_grid, n_grid, variant,
-                               threads=threads)
-        cells.extend(part.cells)
-        labels.update(part.labels)
-    membership = {g: g in window for g in gammas}
-    return SweepResult(gamma_grid=gammas, x_grid=tuple(x_grid),
-                       n_grid=tuple(int(n) for n in sorted(n_grid)),
-                       cells=tuple(cells), labels=labels,
-                       window=window, window_membership=membership)
+    return _sweep(SequenceSpec(j=j, beta=beta), gammas, x_grid, n_grid,
+                  variant, DEFAULT_DELTA, threads,
+                  window=gamma_window(j, eta_estimate))
 
 
 def default_x_grid(count: int, n_min: int | None = None,

@@ -54,6 +54,7 @@ from .spectral import (
 
 __all__ = [
     "MAX_DIM",
+    "MAX_KICKS",
     "FloquetMatrix",
     "EigenDecomposition",
     "DynamicsTrace",
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 MAX_DIM = 4096
+MAX_KICKS = 10**7
 UNITARITY_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
@@ -501,10 +503,14 @@ def evolve(matrix: FloquetMatrix, state: KickState,
     Each kick is psi <- U psi, then psi += Psi (mu * (Psi^H psi)) with the
     kick states as the columns of Psi: O(dim * N) per kick and no
     decomposition.  States are recorded in blocks of bounded size, from which
-    c_n = <psi_0, psi_n> and <H0>_n are taken.
+    c_n = <psi_0, psi_n> and <H0>_n are taken.  More than MAX_KICKS kicks
+    raise ResourceLimitError before anything is allocated.
     """
     if n_kicks < 1:
         raise ValueError("n_kicks must be at least 1")
+    if n_kicks > MAX_KICKS:
+        raise ResourceLimitError(
+            f"{n_kicks} kicks exceed the limit {MAX_KICKS}")
     spec = matrix.spectrum if spec is None else spec
     psi0 = truncate_state(state, matrix.dim).coefficients
     h0 = alpha_sequence(spec, matrix.dim)

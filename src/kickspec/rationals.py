@@ -17,9 +17,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import PrecisionError, ResourceLimitError
 
 __all__ = [
+    "MAX_TERMS",
     "RationalApprox",
     "ContinuedFraction",
     "TypeEstimate",
@@ -39,6 +40,8 @@ Real = Union[int, float, Fraction, "RationalApprox"]
 #: Denominator of the dyadic lattice every rounded fractional part lands on.
 UNIT_SCALE = 1 << 53
 _UNIT_SCALE_F = float(UNIT_SCALE)
+#: Most sequence terms one call may produce (80 MB of float64).
+MAX_TERMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -258,10 +261,14 @@ def polynomial_fractional_parts(
     The polynomial is reduced mod 1 with integer arithmetic over the common
     denominator of the coefficients; successive values are advanced with a
     forward-difference table (degree-many big-int additions per step, no
-    multiplications), then rounded once onto the 2**-53 grid.
+    multiplications), then rounded once onto the 2**-53 grid.  More than
+    MAX_TERMS terms raise ResourceLimitError before anything is allocated.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
+    if n_terms > MAX_TERMS:
+        raise ResourceLimitError(
+            f"{n_terms} sequence terms exceed the limit {MAX_TERMS}")
     fracs = [as_fraction(c) for c in coeffs]
     if not fracs:
         raise ValueError("need at least one coefficient")

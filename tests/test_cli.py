@@ -64,6 +64,40 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--beta", "golden", "--threads", "7"],
+        ["weyl", "--beta", "golden", "--threads", "2"],
+        ["spectrum", "--beta", "golden", "--threads", "2"],
+        ["dynamics", "--beta", "golden", "--threads", "-4"],
+    ])
+    def test_threads_is_a_scount_flag_only(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
+        code = main(["scount", "--beta", "golden", "--threads", threads,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    # N = 1e12 would ask for 8 TB; a missing check fails fast with
+    # MemoryError instead of hanging
+    @pytest.mark.parametrize("command", ["discrepancy", "weyl", "scount"])
+    def test_term_limit(self, command, tmp_path, capsys):
+        code = main([command, "--beta", "golden", "--n-grid", "1e3:1e12:2",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "exceed the limit" in capsys.readouterr().err
+
+    def test_kick_limit(self, tmp_path, capsys):
+        code = main(["dynamics", "--beta", "golden", "--dim", "8",
+                     "--kicks", "1000000000000", "--out", str(tmp_path)])
+        assert code == 3
+        assert "exceed the limit" in capsys.readouterr().err
+
     def test_gamma_out_of_range(self, tmp_path, capsys):
         code = main(["scount", "--beta", "golden", "--gamma", "0.4",
                      "--out", str(tmp_path)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kickspec.counting as counting_mod
 from kickspec.counting import (
     b_lower_bounds,
     count_interval,
@@ -170,6 +171,7 @@ class TestBLowerBounds:
         x = 1.0
         bounds = b_lower_bounds(x, state, theta, n)
         s = count_set_S(x, state, theta, n)
+        assert bounds.s_count == s
         assert bounds.per_term_bound == 4.0 * s
         assert bounds.b_inverse >= bounds.per_term_bound
         assert bounds.b_inverse >= bounds.widened_bound
@@ -265,6 +267,53 @@ class TestGammaSweep:
         sweep = gamma_sweep(1, 1.0, GOLDEN, [1.0], xs, [1000, 10_000])
         assert sweep.window_membership[1.0] is False
         assert all(cell.report.holds for cell in sweep.cells)
+
+
+class TestSweepCore:
+    def test_shared_inputs_built_once(self, monkeypatch):
+        calls = {"theta": 0, "d_n": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(counting_mod, "theta_sequence",
+                            counted("theta", counting_mod.theta_sequence))
+        monkeypatch.setattr(counting_mod, "discrepancy_exact",
+                            counted("d_n", counting_mod.discrepancy_exact))
+        n_grid = [1000, 3000, 10_000]
+        xs = default_x_grid(3, n_min=1000, gamma=0.6)
+        sweep = gamma_sweep(1, 1.0, GOLDEN, [0.6, 0.75, 0.9], xs, n_grid,
+                            threads=2)
+        assert len(sweep.cells) == 3 * len(xs) * len(n_grid)
+        assert calls == {"theta": 1, "d_n": len(n_grid)}
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("variant", ["combescure", "bourget"])
+    def test_cells_match_public_cell_functions(self, j, variant):
+        gammas = (0.6, 0.8)
+        n_grid = [500, 2000]
+        xs = default_x_grid(2, n_min=n_grid[0], gamma=min(gammas),
+                            variant=variant)
+        sweep = gamma_sweep(j, 1.0, GOLDEN, gammas, xs, n_grid,
+                            variant=variant, threads=2)
+        spec = SequenceSpec(j=j, beta=GOLDEN)
+        base = BaseSpectrum(
+            beta=tuple([Fraction(0)] * j + [GOLDEN.as_fraction()]))
+        theta = theta_sequence(base, n_grid[-1] + 1)
+        states = {g: power_law_state(g, n_grid[-1] + 1) for g in gammas}
+        assert len(sweep.cells) == len(gammas) * len(xs) * len(n_grid)
+        for cell in sweep.cells:
+            rep, n = cell.report, cell.report.n
+            ref = inequality_check(cell.x, spec, cell.gamma, n, variant)
+            assert (rep.a_count, rep.lhs, rep.rhs, rep.anchored_lhs) == \
+                (ref.a_count, ref.lhs, ref.rhs, ref.anchored_lhs)
+            state = states[cell.gamma]
+            assert rep.s_count == count_set_S(cell.x, state, theta, n + 1)
+            assert rep.b_inverse == b_inverse_partial(cell.x, state, theta,
+                                                      n + 1)
 
 
 class TestThetaSequenceBridge:

@@ -10,6 +10,7 @@ from kickspec.errors import (
     TrivialPerturbationError,
 )
 from kickspec.floquet import (
+    MAX_KICKS,
     build_floquet,
     eigen_decompose,
     evolve,
@@ -204,6 +205,12 @@ class TestEvolve:
         expected = [(1.0 + (-1.0) ** n) / 2.0 for n in range(10)]
         assert trace.survival() == pytest.approx(expected, abs=1e-12)
         assert abs(trace.amplitudes[0] - 1.0) <= 1e-12
+
+    def test_kick_cap(self):
+        spec, ensemble = two_level_setup()
+        v = build_floquet(spec, ensemble, 2)
+        with pytest.raises(ResourceLimitError):
+            evolve(v, ensemble.states[0], spec, n_kicks=MAX_KICKS + 1)
 
     def test_diagonal_no_heating(self):
         empty = KickEnsemble(states=(), strengths=())

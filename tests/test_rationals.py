@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickspec.errors import PrecisionError
+from kickspec.errors import PrecisionError, ResourceLimitError
 from kickspec.rationals import (
+    MAX_TERMS,
     RationalApprox,
     continued_fraction,
     fractional_part,
@@ -181,6 +182,12 @@ class TestPolynomialFractionalParts:
         scaled = vals * 2.0**53
         assert all(v == int(v) for v in scaled)
         assert all(0.0 <= v < 1.0 for v in vals)
+
+    def test_term_cap(self):
+        coeffs = [Fraction(0), golden_ratio(200).as_fraction()]
+        assert polynomial_fractional_parts(coeffs, 1).size == 1
+        with pytest.raises(ResourceLimitError):
+            polynomial_fractional_parts(coeffs, MAX_TERMS + 1)
 
     def test_bit_determinism(self):
         coeffs = [Fraction(0), Fraction(0), golden_ratio(120).as_fraction()]
