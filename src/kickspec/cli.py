@@ -51,6 +51,7 @@ from .floquet import (
     wiener_average,
 )
 from .rationals import (
+    MAX_TERMS,
     RationalApprox,
     golden_ratio,
     irrational_type_estimate,
@@ -139,7 +140,7 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -222,6 +223,10 @@ def cmd_weyl(args) -> int:
     beta = parse_beta_spec(args.beta, args.precision)
     grid = parse_size_grid(args.n_grid)
     spec = SequenceSpec(j=args.j, beta=beta, label=args.beta)
+    if args.h_max * grid[-1] > MAX_TERMS:
+        raise ResourceLimitError(
+            f"--h-max {args.h_max} sums of up to {grid[-1]} terms exceed "
+            f"the limit {MAX_TERMS}")
     rows = []
     for n in grid:
         for h in range(1, args.h_max + 1):
@@ -457,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--beta", required=True)
     p.add_argument("--n-grid", default="1e2:1e5:4")
-    p.add_argument("--h-max", type=int, default=4)
+    p.add_argument("--h-max", type=_positive_int, default=4)
     p.add_argument("--epsilon", type=float, default=0.01)
     common(p, "runs/weyl")
     p.set_defaults(func=cmd_weyl)
@@ -505,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None,
                    help="irrationality type for the window annotation "
                         "(default: estimated from beta)")
-    p.add_argument("--threads", type=_thread_count, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads over (gamma, x) pairs")
     common(p, "runs/scount")
     p.set_defaults(func=cmd_scount)

@@ -32,7 +32,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .equidistribution import SequenceSpec, discrepancy_exact, sequence_points
-from .errors import IntervalRangeError, ToleranceError
+from .errors import IntervalRangeError, ResourceLimitError, ToleranceError
 from .rationals import RationalApprox, golden_ratio
 from .spectral import (
     BaseSpectrum,
@@ -48,6 +48,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "MAX_X_COUNT",
     "IntervalJ",
     "CountReport",
     "BInverseBounds",
@@ -72,6 +73,8 @@ GrowthLabel = Literal["divergent-trend", "bounded", "inconclusive"]
 DEFAULT_DELTA = 0.01
 #: Float slack absorbing the rounding between exact reals and float counts.
 _INEQ_SLACK = 1e-12
+#: Most x values ``default_x_grid`` builds (it may try 1000 candidates each).
+MAX_X_COUNT = 10**4
 
 
 def bourget_half_width(n: int, gamma: float) -> float:
@@ -427,10 +430,14 @@ def default_x_grid(count: int, n_min: int | None = None,
     The golden rotation never lands on the rational test sequences' phases,
     and the 1/7 offset keeps it off the golden sequences themselves.  When
     n_min and gamma are given, values whose interval would spill outside
-    [0, 1) at the smallest grid size are skipped.
+    [0, 1) at the smallest grid size are skipped.  More than MAX_X_COUNT
+    values raise ResourceLimitError before any candidate is tried.
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if count > MAX_X_COUNT:
+        raise ResourceLimitError(
+            f"{count} x values exceed the limit {MAX_X_COUNT}")
     phi_minus_one = float(golden_ratio(64)) - 1.0
     xs: list[float] = []
     m = 1

@@ -276,10 +276,11 @@ def erdos_turan_bound(points: Iterable[float], m: int) -> float:
     xs = _checked_points(points)
     n = xs.size
     base = np.exp(2j * np.pi * xs)
-    current = np.ones_like(base)
+    current = base.copy()
     total = 0.0
     for h in range(1, m + 1):
-        current = current * base
+        if h > 1:
+            current *= base
         total += abs(complex(current.sum())) / (h * n)
     return 6.0 / (m + 1) + (4.0 / math.pi) * total
 

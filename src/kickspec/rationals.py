@@ -3,9 +3,16 @@ irrationality-type estimation.
 
 Irrationals are represented by high-precision rationals produced from their
 continued-fraction expansions (``golden_ratio``, ``sqrt_two``), so every
-fractional-part reduction downstream can run on arbitrary-precision integers
-instead of floats.  Floats lose all fractional-part accuracy once n**j * beta
-grows past 2**53, which happens immediately at the sequence lengths used here.
+fractional-part reduction downstream is exact instead of float.  Floats lose
+all fractional-part accuracy once n**j * beta grows past 2**53, which happens
+immediately at the sequence lengths used here.
+
+``polynomial_fractional_parts`` is a certified vectorised kernel: each block
+of indices is anchored exactly in big integers, the block's local polynomial
+is evaluated in 128-bit fixed point over numpy limbs, and the few values the
+truncation error could push across a 2**-53 grid boundary are recomputed
+exactly ("float nominates, exact settles").  Its output is bit-identical to
+reducing every term exactly and rounding it with ``unit_float``.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ UNIT_SCALE = 1 << 53
 _UNIT_SCALE_F = float(UNIT_SCALE)
 #: Most sequence terms one call may produce (80 MB of float64).
 MAX_TERMS = 10**7
+#: Largest block of indices sharing one exact anchor.
+_MAX_BLOCK = 4096
+#: Points evaluated per vectorised pass; keeps the limb temporaries at a few MB.
+_CHUNK_POINTS = 1 << 16
+_LIMB_MASK = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -241,6 +253,14 @@ def liouville_number(terms: int = 4) -> RationalApprox:
     return RationalApprox.from_fraction(total, source_depth=terms)
 
 
+def integer_polynomial(coeffs: Sequence[Real]) -> tuple[list[int], int]:
+    """Integer numerators ``nums`` over the common denominator ``den``, so
+    that sum_m c_m n**m = sum_m nums[m] n**m / den."""
+    fracs = [as_fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def unit_float(numerator: int, denominator: int) -> float:
     """Round the exact value numerator/denominator in [0, 1) onto the 2**-53 grid.
 
@@ -258,10 +278,16 @@ def polynomial_fractional_parts(
 ) -> np.ndarray:
     """Fractional parts {c_0 + c_1 n + ... + c_p n**p} for n = start..start+n_terms-1.
 
-    The polynomial is reduced mod 1 with integer arithmetic over the common
-    denominator of the coefficients; successive values are advanced with a
-    forward-difference table (degree-many big-int additions per step, no
-    multiplications), then rounded once onto the 2**-53 grid.  More than
+    The polynomial is reduced mod 1 over the common denominator ``den`` of
+    the coefficients.  Indices are split into blocks of B points; at each
+    block start ``a`` the local Taylor coefficients
+    D_k = sum_m c_m C(m, k) a**(m-k) mod den are computed exactly and
+    truncated to F_k = floor(D_k 2**128 / den).  Inside the block,
+    sum_k F_k i**k mod 2**128 is a lower bound on 2**128 {P(a + i)} that
+    falls short by less than sum_k i**k units, so its top 53 bits are the
+    exact floor(2**53 {P(a + i)}) unless its low 75 bits lie within that
+    error of a carry; those points are recomputed exactly.  The result
+    equals ``unit_float`` of every exact value, bit for bit.  More than
     MAX_TERMS terms raise ResourceLimitError before anything is allocated.
     """
     if n_terms < 1:
@@ -269,34 +295,113 @@ def polynomial_fractional_parts(
     if n_terms > MAX_TERMS:
         raise ResourceLimitError(
             f"{n_terms} sequence terms exceed the limit {MAX_TERMS}")
-    fracs = [as_fraction(c) for c in coeffs]
-    if not fracs:
+    nums, den = integer_polynomial(coeffs)
+    if not nums:
         raise ValueError("need at least one coefficient")
-    den = math.lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (den // f.denominator) for f in fracs]
     degree = len(nums) - 1
-
-    def value_at(n: int) -> int:
-        acc = 0
-        power = 1
-        for c in nums:
-            acc += c * power
-            power *= n
-        return acc % den
 
     out = np.empty(n_terms, dtype=np.float64)
     if degree == 0:
         out.fill(unit_float(nums[0] % den, den))
         return out
 
-    # Forward differences of the integer sequence value_at(start + i) mod den.
-    table = [value_at(start + i) for i in range(degree + 1)]
-    diffs = []
-    for _ in range(degree + 1):
-        diffs.append(table[0])
-        table = [(b - a) % den for a, b in zip(table, table[1:])]
-    for i in range(n_terms):
-        out[i] = unit_float(diffs[0], den)
-        for lev in range(degree):
-            diffs[lev] = (diffs[lev] + diffs[lev + 1]) % den
+    block = _block_size(degree)
+    offsets = np.arange(block, dtype=np.uint64)
+    # 2**64 - sum_k i**k: the low 64 bits at or above which a value with all
+    # eleven bits 64..74 set may carry into the output bits
+    error_units = np.ones(block, dtype=np.uint64)
+    for _ in range(degree):
+        error_units = error_units * offsets + np.uint64(1)
+    thresholds = ~(error_units - np.uint64(1))
+
+    n_blocks = -(-n_terms // block)
+    per_chunk = max(1, _CHUNK_POINTS // block)
+    flagged = []
+    for first in range(0, n_blocks, per_chunk):
+        count = min(per_chunk, n_blocks - first)
+        lo = first * block
+        hi = min(lo + count * block, n_terms)
+        anchors = _block_anchors(nums, den, start + lo, block, count)
+        top, near = _fixed_point_blocks(anchors, offsets, thresholds)
+        np.multiply(top[:hi - lo], 1.0 / _UNIT_SCALE_F, out=out[lo:hi])
+        flagged.append(np.flatnonzero(near[:hi - lo]) + lo)
+    for i in np.concatenate(flagged).tolist():
+        out[i] = unit_float(_value_mod(nums, start + i, den), den)
     return out
+
+
+def _block_size(degree: int) -> int:
+    """Largest power of two B <= 4096 with degree * B**degree <= 2**50.
+
+    The truncation error sum_k i**k then stays below about 2**51 units of
+    2**-128, so a value is flagged for the exact path with probability
+    about 2**-24.
+    """
+    block = _MAX_BLOCK
+    while block > 1 and degree * block**degree > 1 << 50:
+        block //= 2
+    return block
+
+
+def _block_anchors(nums: list[int], den: int, first: int, block: int,
+                   count: int) -> np.ndarray:
+    """Limbs of F_k = floor(D_k 2**128 / den) at ``count`` block starts.
+
+    Block b starts at a = first + b * block; D_k(a) are the Taylor
+    coefficients of the numerator polynomial about a, reduced mod den.
+    Returns uint64 of shape (count, degree + 1, 4), least significant 32-bit
+    limb first.
+    """
+    degree = len(nums) - 1
+    binom = [[math.comb(m, k) * nums[m] for m in range(degree + 1)]
+             for k in range(degree + 1)]
+    words = bytearray()
+    for b in range(count):
+        a = first + b * block
+        powers = [1]
+        for _ in range(degree):
+            powers.append(powers[-1] * a)
+        for k in range(degree + 1):
+            d_k = sum(binom[k][m] * powers[m - k]
+                      for m in range(k, degree + 1)) % den
+            words += ((d_k << 128) // den).to_bytes(16, "little")
+    limbs = np.frombuffer(bytes(words), dtype="<u4").astype(np.uint64)
+    return limbs.reshape(count, degree + 1, 4)
+
+
+def _fixed_point_blocks(anchors: np.ndarray, offsets: np.ndarray,
+                        thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Horner sum_k F_k i**k mod 2**128 for every block and offset i.
+
+    Each limb product stays below 2**44 and each limb sum below 2**45, so
+    uint64 carries are exact.  Returns the top 53 bits of every value and
+    the mask of values whose low 75 bits are at least 2**75 - sum_k i**k,
+    both flattened in (block, offset) order.
+    """
+    degree = anchors.shape[1] - 1
+    shape = (anchors.shape[0], offsets.size)
+    acc = [np.repeat(anchors[:, degree, limb, None], offsets.size, axis=1)
+           for limb in range(4)]
+    t = np.empty(shape, dtype=np.uint64)
+    carry = np.empty(shape, dtype=np.uint64)
+    for k in range(degree - 1, -1, -1):
+        for limb in range(4):
+            np.multiply(acc[limb], offsets, out=t)
+            t += anchors[:, k, limb, None]
+            if limb:
+                t += carry
+            np.bitwise_and(t, _LIMB_MASK, out=acc[limb])
+            if limb < 3:
+                np.right_shift(t, 32, out=carry)
+    top = (acc[3] << 21) | (acc[2] >> 11)
+    low = (acc[1] << 32) | acc[0]
+    near = ((acc[2] & 0x7FF) == 0x7FF) & (low >= thresholds)
+    return top.ravel(), near.ravel()
+
+
+def _value_mod(nums: list[int], n: int, den: int) -> int:
+    """Exact numerator polynomial at n, reduced mod den (Horner)."""
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * n + c
+    return acc % den

@@ -27,7 +27,12 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import EnsembleError, PoleError, TrivialPerturbationError
-from .rationals import Real, as_fraction, polynomial_fractional_parts
+from .rationals import (
+    Real,
+    as_fraction,
+    integer_polynomial,
+    polynomial_fractional_parts,
+)
 
 __all__ = [
     "BaseSpectrum",
@@ -106,15 +111,15 @@ def alpha_sequence(spec: BaseSpectrum, n_terms: int) -> np.ndarray:
     """Eigenvalues alpha_n = 2*pi*hbar*sum_j beta_j n**j for n = 0..n_terms-1."""
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
+    nums, den = integer_polynomial(spec.beta)
     out = np.empty(n_terms, dtype=np.float64)
     scale = TWO_PI * spec.hbar
     for n in range(n_terms):
-        acc = Fraction(0)
-        power = 1
-        for c in spec.beta:
-            acc += c * power
-            power *= n
-        out[n] = scale * float(acc)
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * n + c
+        # int true division is correctly rounded, as float(Fraction) is
+        out[n] = scale * (acc / den)
     return out
 
 

@@ -92,6 +92,34 @@ class TestExitCodes:
         assert code == 3
         assert "exceed the limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h_max", ["0", "-3", "four"])
+    def test_h_max_below_one_rejected(self, h_max, tmp_path, capsys):
+        code = main(["weyl", "--beta", "golden", "--h-max", h_max,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "--h-max" in capsys.readouterr().err
+        assert not (tmp_path / "weyl.csv").exists()
+
+    def test_weyl_harmonic_limit(self, tmp_path, monkeypatch, capsys):
+        import kickspec.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "weyl_sum", None)
+        code = main(["weyl", "--beta", "golden", "--h-max", "100000000",
+                     "--n-grid", "1e3:1e4:2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "exceed the limit" in capsys.readouterr().err
+        assert not (tmp_path / "weyl.csv").exists()
+
+    def test_x_count_limit(self, tmp_path, monkeypatch, capsys):
+        import kickspec.counting as counting_mod
+
+        monkeypatch.setattr(counting_mod, "make_interval", None)
+        code = main(["scount", "--beta", "golden", "--x-count", "100000000",
+                     "--n-grid", "1e3:1e4:2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "exceed the limit" in capsys.readouterr().err
+        assert not (tmp_path / "cells.csv").exists()
+
     def test_kick_limit(self, tmp_path, capsys):
         code = main(["dynamics", "--beta", "golden", "--dim", "8",
                      "--kicks", "1000000000000", "--out", str(tmp_path)])

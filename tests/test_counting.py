@@ -19,7 +19,7 @@ from kickspec.counting import (
     make_interval,
 )
 from kickspec.equidistribution import SequenceSpec, sequence_points
-from kickspec.errors import IntervalRangeError
+from kickspec.errors import IntervalRangeError, ResourceLimitError
 from kickspec.rationals import RationalApprox, golden_ratio
 from kickspec.spectral import (
     BaseSpectrum,
@@ -233,6 +233,16 @@ class TestDivergenceScan:
         for cell in sweep.cells:
             assert cell.report.holds
             assert cell.report.lhs <= cell.report.rhs * (1 + 1e-9) + 1e-9
+
+
+class TestDefaultXGrid:
+    def test_count_limit(self, monkeypatch):
+        assert len(default_x_grid(counting_mod.MAX_X_COUNT)) == \
+            counting_mod.MAX_X_COUNT
+        monkeypatch.setattr(counting_mod, "make_interval", None)
+        with pytest.raises(ResourceLimitError):
+            default_x_grid(counting_mod.MAX_X_COUNT + 1, n_min=1000,
+                           gamma=0.75)
 
 
 class TestGammaSweep:

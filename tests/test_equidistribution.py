@@ -187,6 +187,17 @@ class TestErdosTuran:
         with pytest.raises(ValueError):
             erdos_turan_bound([0.5], 0)
 
+    def test_matches_fresh_power_products(self):
+        pts = sequence_points(spec(1, GOLDEN), 5000)
+        base = np.exp(2j * np.pi * pts)
+        current = np.ones_like(base)
+        total = 0.0
+        for h in range(1, 65):
+            current = current * base
+            total += abs(complex(current.sum())) / (h * pts.size)
+        assert erdos_turan_bound(pts, 64) == \
+            6.0 / 65 + (4.0 / math.pi) * total
+
 
 class TestScalingFit:
     def test_golden_linear_decay(self):

@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kickspec import rationals
 from kickspec.errors import PrecisionError, ResourceLimitError
 from kickspec.rationals import (
     MAX_TERMS,
@@ -21,6 +24,54 @@ from kickspec.rationals import (
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def forward_difference_oracle(coeffs, n_terms, start=0):
+    """Exact per-point reduction: a forward-difference table of big ints
+    advanced one index at a time, each value rounded by unit_float."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    degree = len(nums) - 1
+
+    def value_at(n):
+        return sum(c * n**m for m, c in enumerate(nums)) % den
+
+    out = np.empty(n_terms, dtype=np.float64)
+    table = [value_at(start + i) for i in range(degree + 1)]
+    diffs = []
+    for _ in range(degree + 1):
+        diffs.append(table[0])
+        table = [(b - a) % den for a, b in zip(table, table[1:])]
+    for i in range(n_terms):
+        out[i] = unit_float(diffs[0], den)
+        for lev in range(degree):
+            diffs[lev] = (diffs[lev] + diffs[lev + 1]) % den
+    return out
+
+
+def seeded_rational(rng, bits=4096):
+    """Reduced p/q in (0, 1) with a ``bits``-bit denominator."""
+    while True:
+        q = rng.getrandbits(bits) | (1 << (bits - 1))
+        p = rng.randrange(1, q)
+        if math.gcd(p, q) == 1:
+            return Fraction(p, q)
+
+
+@st.composite
+def polynomials(draw):
+    """Degree 0-4 over one random or 4096-bit denominator, signed numerators."""
+    den = draw(st.one_of(st.integers(1, 10**12),
+                         st.integers(1 << 4095, (1 << 4096) - 1)))
+    degree = draw(st.integers(0, 4))
+    nums = draw(st.lists(st.integers(-4 * den, 4 * den),
+                         min_size=degree + 1, max_size=degree + 1))
+    return [Fraction(n, den) for n in nums]
+
+
+# block (4096 points up to degree 4) and chunk (65536 points) edges
+EDGE_TERMS = (1, 2, 4095, 4096, 4097, 8193, 65535, 65536, 65537)
 
 
 class TestFractionalPart:
@@ -194,3 +245,91 @@ class TestPolynomialFractionalParts:
         a = polynomial_fractional_parts(coeffs, 500, start=1)
         b = polynomial_fractional_parts(coeffs, 500, start=1)
         assert (a == b).all()
+
+
+class TestCertifiedKernel:
+    """The block-anchored fixed-point kernel against the exact loop."""
+
+    @pytest.fixture
+    def settled(self, monkeypatch):
+        calls = []
+        exact = rationals._value_mod
+
+        def counting(nums, n, den):
+            calls.append(n)
+            return exact(nums, n, den)
+
+        monkeypatch.setattr(rationals, "_value_mod", counting)
+        return calls
+
+    @given(polynomials(), st.integers(1, 9000),
+           st.one_of(st.sampled_from([0, 1, -1, 12345678901]),
+                     st.integers(-10**15, 10**15)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, coeffs, n_terms, start):
+        assert np.array_equal(
+            polynomial_fractional_parts(coeffs, n_terms, start=start),
+            forward_difference_oracle(coeffs, n_terms, start=start))
+
+    @pytest.mark.parametrize("n_terms", EDGE_TERMS)
+    def test_block_and_chunk_edges(self, n_terms):
+        rng = random.Random(n_terms)
+        den = 2**64 - 59
+        cases = [
+            ([Fraction(rng.randrange(-den, den), den) for _ in range(5)],
+             -10**12),
+            ([0, 0, 0, seeded_rational(rng)], 12345678901),
+        ]
+        for coeffs, start in cases:
+            assert np.array_equal(
+                polynomial_fractional_parts(coeffs, n_terms, start=start),
+                forward_difference_oracle(coeffs, n_terms, start=start))
+
+    def test_block_size(self):
+        assert [rationals._block_size(d) for d in (1, 2, 3, 4, 5, 8)] == \
+            [4096, 4096, 4096, 4096, 512, 32]
+
+    @pytest.mark.parametrize("n_terms, start", [(31, 0), (33, -77),
+                                                (65537, 10**9 + 7)])
+    def test_degree_eight_shrinks_the_block(self, n_terms, start):
+        rng = random.Random(8)
+        coeffs = [Fraction(rng.randrange(-10**20, 10**20), 10**20 + 39)
+                  for _ in range(9)]
+        assert np.array_equal(
+            polynomial_fractional_parts(coeffs, n_terms, start=start),
+            forward_difference_oracle(coeffs, n_terms, start=start))
+
+    @pytest.mark.parametrize("coeffs", [
+        [Fraction(0), Fraction(1, 3)],
+        [Fraction(1, 2), Fraction(1, 6)],
+        [Fraction(0), Fraction(-7, 12), Fraction(5, 12)],
+    ])
+    def test_exact_grid_values_are_settled_exactly(self, coeffs, settled):
+        # values 0 and 1/2 lie on the 2**-53 grid; the truncated fixed-point
+        # value sits just below them and must be flagged
+        vals = polynomial_fractional_parts(coeffs, 10_000, start=-5)
+        assert settled
+        assert np.array_equal(vals,
+                              forward_difference_oracle(coeffs, 10_000, -5))
+
+    def test_values_just_below_a_grid_boundary(self, settled):
+        c = Fraction(1, 1024) - Fraction(1, 3 << 140)
+        vals = polynomial_fractional_parts([Fraction(0), c], 5000, start=1)
+        assert len(settled) > 4000
+        n = np.arange(1, 5001)
+        below = ((n % 1024) * 2**43 - 1) % 2**53 / 2.0**53
+        assert np.array_equal(vals, below)
+        assert np.array_equal(vals,
+                              forward_difference_oracle([0, c], 5000, 1))
+
+    def test_benchmark_sequences(self):
+        golden = golden_ratio(200).as_fraction()
+        sqrt2 = sqrt_two(200).as_fraction()
+        hp = seeded_rational(random.Random("numtheory:20261017"))
+        cases = [([0, golden], 10**6, 1), ([0, 0, 0, hp], 3 * 10**5, 1),
+                 ([0, golden], 3 * 10**5 + 1, 0)]
+        cases += [([0, 0, h * sqrt2], 10**5, 1) for h in range(1, 5)]
+        for coeffs, n_terms, start in cases:
+            assert np.array_equal(
+                polynomial_fractional_parts(coeffs, n_terms, start=start),
+                forward_difference_oracle(coeffs, n_terms, start=start))

@@ -67,6 +67,18 @@ class TestBaseSpectrum:
         assert alpha_sequence(spec, 3) == pytest.approx([0.0, 1.5, 4.0],
                                                         abs=1e-12)
 
+    @pytest.mark.parametrize("spec", [
+        BaseSpectrum.from_radians([0.3, 1.0, 0.5], hbar=0.7),
+        BaseSpectrum(beta=(Fraction(-1, 3), GOLDEN, Fraction(5, 7),
+                           Fraction(-2, 11)), hbar=1.3),
+    ])
+    def test_alpha_matches_fraction_sum(self, spec):
+        scale = TWO_PI * spec.hbar
+        expected = np.array([
+            scale * float(sum(c * n**j for j, c in enumerate(spec.beta)))
+            for n in range(500)])
+        assert np.array_equal(alpha_sequence(spec, 500), expected)
+
 
 class TestThetaSequence:
     def test_quarter_rotation(self):
