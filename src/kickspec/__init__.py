@@ -31,6 +31,7 @@ from .counting import (
     make_interval,
 )
 from .equidistribution import (
+    MAX_ET_PRODUCTS,
     DiscrepancyReport,
     ScalingFit,
     SequenceSpec,

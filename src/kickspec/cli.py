@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .counting import default_x_grid, gamma_sweep
 from .equidistribution import (
+    MAX_ET_PRODUCTS,
     DiscrepancyReport,
     SequenceSpec,
     classical_exponent,
@@ -191,6 +192,10 @@ def cmd_discrepancy(args) -> int:
     beta = parse_beta_spec(args.beta, args.precision)
     grid = parse_size_grid(args.n_grid)
     spec = SequenceSpec(j=args.j, beta=beta, label=args.beta)
+    if args.m * sum(grid) > MAX_ET_PRODUCTS:
+        raise ResourceLimitError(
+            f"--m {args.m} harmonics over {sum(grid)} prefix points exceed "
+            f"the limit {MAX_ET_PRODUCTS}")
     points = sequence_points(spec, grid[-1])
     rows = []
     for n in grid:
@@ -453,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True,
                    help="decimal, p/q, or named constant (golden, sqrt2)")
     p.add_argument("--n-grid", default="1e3:1e6:4")
-    p.add_argument("--m", type=int, default=64,
+    p.add_argument("--m", type=_positive_int, default=64,
                    help="harmonics in the Erdos-Turan bound")
     common(p, "runs/discrepancy")
     p.set_defaults(func=cmd_discrepancy)

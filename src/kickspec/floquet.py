@@ -180,6 +180,13 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
         raise ResourceLimitError(f"dim = {dim} exceeds the dense limit {MAX_DIM}")
     if convention not in ("additive_r_k", "exponential_product"):
         raise ValueError(f"unknown convention {convention!r}")
+    sign = 1.0 if convention == "additive_r_k" else -1.0
+    kick_phases = tuple(sign * strength / spec.hbar
+                        for strength in ensemble.strengths)
+    for strength, phase in zip(ensemble.strengths, kick_phases):
+        if not math.isfinite(phase):
+            raise ValueError(f"kick strength {strength} with hbar {spec.hbar} "
+                             "gives a non-finite phase lambda/hbar")
 
     theta = theta_sequence(spec, dim)
     u_diag = np.exp(1j * theta.values)
@@ -192,9 +199,6 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
     else:
         truncated = ensemble
 
-    sign = 1.0 if convention == "additive_r_k" else -1.0
-    kick_phases = tuple(sign * strength / spec.hbar
-                        for strength in truncated.strengths)
     mu = _kick_factors(kick_phases)
     for strength, mu_k in zip(truncated.strengths, mu):
         if abs(mu_k) < 1e-12:

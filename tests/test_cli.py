@@ -110,6 +110,35 @@ class TestExitCodes:
         assert "exceed the limit" in capsys.readouterr().err
         assert not (tmp_path / "weyl.csv").exists()
 
+    @pytest.mark.parametrize("m", ["0", "-5", "many"])
+    def test_m_below_one_rejected(self, m, tmp_path, capsys):
+        code = main(["discrepancy", "--beta", "golden", "--m", m,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "--m" in capsys.readouterr().err
+        assert not (tmp_path / "discrepancy.csv").exists()
+
+    def test_erdos_turan_product_limit(self, tmp_path, monkeypatch, capsys):
+        import kickspec.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "sequence_points", None)
+        code = main(["discrepancy", "--beta", "golden", "--m", "100000000",
+                     "--n-grid", "1e3:1e4:2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "exceed the limit" in capsys.readouterr().err
+        assert not (tmp_path / "discrepancy.csv").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    @pytest.mark.parametrize("flags", [["--lambdas", "nan"], ["--lambdas", "inf"],
+                                       ["--hbar", "1e-320"]])
+    def test_non_finite_kick_phase_rejected(self, command, flags, tmp_path,
+                                            capsys):
+        code = main([command, "--beta", "golden", "--dim", "16", *flags,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_x_count_limit(self, tmp_path, monkeypatch, capsys):
         import kickspec.counting as counting_mod
 

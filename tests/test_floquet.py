@@ -106,6 +106,17 @@ class TestBuildFloquet:
         with pytest.raises(ResourceLimitError):
             build_floquet(HARMONIC, rank1_full(8), 5000)
 
+    @pytest.mark.parametrize("strength, hbar", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, 1e-320)])
+    def test_non_finite_kick_phase_rejected(self, strength, hbar, monkeypatch):
+        import kickspec.floquet as floquet_mod
+
+        # rejected before the phases are computed
+        monkeypatch.setattr(floquet_mod, "theta_sequence", None)
+        spec = BaseSpectrum.harmonic(GOLDEN, hbar=hbar)
+        with pytest.raises(ValueError, match="non-finite"):
+            build_floquet(spec, rank1_full(8, strength=strength), 8)
+
 
 class TestTruncateState:
     def test_renormalises_and_records_tail(self):

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
+
+import kickspec
 
 from kickspec.errors import (
     EnsembleError,
@@ -26,6 +33,7 @@ from kickspec.spectral import (
     gamma_window,
     orthonormal_ensemble,
     point_mass,
+    _hurwitz_zeta,
     power_law_state,
     theta_sequence,
 )
@@ -168,6 +176,44 @@ class TestPowerLawState:
         theta = theta_sequence(BaseSpectrum.harmonic(GOLDEN), 8)
         with pytest.raises((ValueError, RuntimeError)):
             theta.values[0] = 1.0
+
+
+class TestHurwitzZeta:
+    # s = 2*gamma over the divergent regime, down to within 1e-6 of the pole;
+    # a log-uniform in [1, 1e7], since the truncation error is largest at a = 1
+    @settings(max_examples=400, deadline=None)
+    @given(s=st.one_of(st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+                       st.floats(min_value=2.0**-52, max_value=1e-6)
+                       .map(lambda d: 1.0 + d)),
+           a=st.floats(min_value=0.0, max_value=7.0).map(lambda e: 10.0**e))
+    @example(s=2.0, a=1.0)
+    @example(s=1.0 + 2.0**-52, a=1.0)
+    def test_matches_scipy(self, s, a):
+        assert _hurwitz_zeta(s, a) == pytest.approx(zeta(s, a), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("gamma", [0.5 + 1e-7, 0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    def test_progression_tails_match_scipy(self, gamma, stride):
+        for state in orthonormal_ensemble(gamma, stride, 50, [1.0] * stride).states:
+            nxt = state.support[-1] + stride
+            expected = stride ** (-2 * gamma) * zeta(2 * gamma, nxt / stride)
+            assert state.lost_tail == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("gamma", [0.5 + 1e-7, 0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("dim", [2, 64, 4096])
+    def test_full_support_tail_matches_scipy(self, gamma, dim):
+        state = full_support_state(gamma, dim)
+        assert state.lost_tail == pytest.approx(zeta(2 * gamma, dim + 1),
+                                                rel=1e-13, abs=0)
+
+    def test_cli_import_loads_no_scipy(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(kickspec.__file__).resolve().parent.parent))
+        code = ("import kickspec.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestEnsemble:
