@@ -13,7 +13,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -34,16 +33,7 @@ from .equidistribution import (
     sequence_points,
     weyl_sum,
 )
-from .errors import (
-    EnsembleError,
-    IntervalRangeError,
-    PoleError,
-    PrecisionError,
-    ProvenanceError,
-    ResourceLimitError,
-    ToleranceError,
-    TrivialPerturbationError,
-)
+from .errors import ResourceLimitError, ToleranceError
 from .floquet import (
     build_floquet,
     eigen_decompose,
@@ -62,14 +52,15 @@ from .runio import (
     CellCache,
     ResultTable,
     RunManifest,
-    atomic_write_text,
     manifest_hash,
     write_csv,
+    write_json,
 )
 from .spectral import (
     BaseSpectrum,
     Divergent,
     KickEnsemble,
+    KickState,
     cotangent_residual,
     full_support_state,
     gamma_window,
@@ -170,7 +161,6 @@ def _ensemble_from_args(args, dim: int) -> KickEnsemble:
         if args.rank != 1:
             raise ValueError("--kick-state uniform supports rank 1 only")
         coeffs = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-        from .spectral import KickState
         return KickEnsemble(states=(KickState(coefficients=coeffs),),
                             strengths=strengths)
     if args.rank == 1:
@@ -250,8 +240,7 @@ def cmd_weyl(args) -> int:
         "classical_exponent":
             classical_exponent(args.j) if args.j >= 2 else None,
     }
-    atomic_write_text(out / "summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "summary.json", summary)
     params = {"command": "weyl", "j": args.j, "beta": args.beta,
               "n_grid": args.n_grid, "h_max": args.h_max,
               "epsilon": args.epsilon, "precision": args.precision}
@@ -292,8 +281,7 @@ def cmd_spectrum(args) -> int:
             matrix.kick_phases[0]))
             for x in decomposition.eigenphases]
         summary["max_secular_residual"] = max(residuals)
-    atomic_write_text(out / "summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "summary.json", summary)
     params = {"command": "spectrum", "beta": args.beta, "hbar": args.hbar,
               "period": args.period, "rank": args.rank, "gamma": args.gamma,
               "lambdas": args.lambdas, "dim": args.dim,
@@ -334,11 +322,9 @@ def cmd_scount(args) -> int:
     out = Path(args.out)
     cache = CellCache(out / ".cache")
     cached = cache.get(key)
-    window = None
     if not (isinstance(cached, dict) and {"cells", "labels"} <= cached.keys()):
         sweep = gamma_sweep(args.j, eta, beta, gammas, xs, grid,
                             variant=args.variant, threads=args.threads)
-        window = sweep.window
         cell_rows = []
         for cell in sweep.cells:
             rep = cell.report
@@ -356,8 +342,7 @@ def cmd_scount(args) -> int:
     else:
         cell_rows = cached["cells"]
         label_rows = cached["labels"]
-    if window is None:
-        window = gamma_window(args.j, eta)
+    window = gamma_window(args.j, eta)
 
     write_csv(out / "cells.csv", ResultTable(
         columns=("x_rad", "gamma", "N", "a_count", "s_count", "lhs", "rhs",
@@ -375,8 +360,7 @@ def cmd_scount(args) -> int:
         "labels": {f"{row[0]:.12g}|{row[1]:.12g}": row[2]
                    for row in label_rows},
     }
-    atomic_write_text(out / "summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "summary.json", summary)
     _write_manifest(out, "scount", params,
                     ["cells.csv", "labels.csv", "summary.json"])
     print(f"wrote {out / 'cells.csv'} ({len(cell_rows)} cells)")
@@ -396,11 +380,10 @@ def cmd_dynamics(args) -> int:
         # stationary under the diagonal evolution
         if not 0 <= args.state_index < args.dim:
             raise ValueError("--state-index out of range for the basis")
-        from .spectral import KickState
         coeffs = np.zeros(args.dim, dtype=complex)
         coeffs[args.state_index] = 1.0
         state = KickState(coefficients=coeffs)
-    trace = evolve(matrix, state, spec, args.kicks)
+    trace = evolve(matrix, state, args.kicks)
     survival = trace.survival()
     running = np.concatenate([[0.0], np.cumsum(survival[1:]) /
                               np.arange(1, args.kicks + 1)])
@@ -421,8 +404,7 @@ def cmd_dynamics(args) -> int:
                                     args.state_index)
         summary["point_mass_sum"] = mass
         summary["wiener_gap"] = abs(mean - mass)
-    atomic_write_text(out / "summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "summary.json", summary)
     params = {"command": "dynamics", "beta": args.beta, "hbar": args.hbar,
               "period": args.period, "rank": args.rank, "gamma": args.gamma,
               "lambdas": args.lambdas, "dim": args.dim, "kicks": args.kicks,
@@ -448,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, default_out: str):
         p.add_argument("--out", default=default_out,
                        help="output directory (default %(default)s)")
-        p.add_argument("--precision", type=int, default=None, metavar="BITS",
+        p.add_argument("--precision", type=_positive_int, default=None,
+                       metavar="BITS",
                        help="denominator bits for named constants "
                             "(default: 200 continued-fraction terms)")
 
@@ -544,8 +527,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         print(f"numerical tolerance violated: {exc}", file=sys.stderr)
         return TOLERANCE_ERROR
-    except (ValueError, PrecisionError, IntervalRangeError, EnsembleError,
-            PoleError, ProvenanceError, TrivialPerturbationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -26,6 +26,7 @@ near the wrap-around, and eigenphases live on the circle.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
@@ -69,7 +70,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 Variant = Literal["combescure", "bourget"]
 GrowthLabel = Literal["divergent-trend", "bounded", "inconclusive"]
-#: Default small exponent shaving for the bourget-variant anchor term.
+#: Small exponent shaving of the bourget-variant anchor term, recorded in
+#: ``CountReport.delta``.
 DEFAULT_DELTA = 0.01
 #: Float slack absorbing the rounding between exact reals and float counts.
 _INEQ_SLACK = 1e-12
@@ -197,7 +199,7 @@ class CountReport:
 
 
 def _inequality_report(x: float, interval: IntervalJ, points: np.ndarray,
-                       d_n: float, delta: float) -> CountReport:
+                       d_n: float) -> CountReport:
     """The inequality side of one (x, N) cell, on the first N sequence points.
 
     s_count and b_inverse stay at zero; the sweep fills them from
@@ -209,7 +211,8 @@ def _inequality_report(x: float, interval: IntervalJ, points: np.ndarray,
     lhs = abs(a_count - n * interval.length)
     anchored = None
     if variant == "bourget":
-        anchored = abs(a_count - 2.0 * n ** (2.0 * (1.0 - gamma - delta)))
+        anchored = abs(
+            a_count - 2.0 * n ** (2.0 * (1.0 - gamma - DEFAULT_DELTA)))
     holds = lhs <= rhs * (1.0 + _INEQ_SLACK) + _INEQ_SLACK
     if not holds:
         raise ToleranceError(
@@ -217,13 +220,12 @@ def _inequality_report(x: float, interval: IntervalJ, points: np.ndarray,
             f"lhs={lhs:.6e} > rhs={rhs:.6e}")
     return CountReport(n=n, a_count=a_count, s_count=0, lhs=lhs, rhs=rhs,
                        b_inverse=0.0, holds=holds, variant=variant,
-                       delta=delta if variant == "bourget" else None,
+                       delta=DEFAULT_DELTA if variant == "bourget" else None,
                        anchored_lhs=anchored)
 
 
 def inequality_check(x: float, spec: SequenceSpec, gamma: float, n: int,
-                     variant: Variant = "combescure",
-                     delta: float = DEFAULT_DELTA) -> CountReport:
+                     variant: Variant = "combescure") -> CountReport:
     """Verify |A(J_N(x), N) - N*|J_N|| <= N * D_N on the sequence (n**j beta).
 
     The exact discrepancy makes the inequality unconditional; a violation
@@ -234,8 +236,7 @@ def inequality_check(x: float, spec: SequenceSpec, gamma: float, n: int,
     """
     interval = make_interval(x, n, gamma, variant)
     pts = sequence_points(spec, n)
-    return _inequality_report(x, interval, pts, discrepancy_exact(pts).d_n,
-                              delta)
+    return _inequality_report(x, interval, pts, discrepancy_exact(pts).d_n)
 
 
 @dataclass(frozen=True)
@@ -309,9 +310,6 @@ class SweepResult:
         if len(self.labels) != len(self.gamma_grid) * len(self.x_grid):
             raise ValueError("need one growth label per (x, gamma) pair")
 
-    def label(self, x: float, gamma: float) -> GrowthLabel:
-        return self.labels[(x, gamma)]
-
     def counts(self, x: float, gamma: float) -> tuple[int, ...]:
         return tuple(c.report.s_count for c in self.cells
                      if c.x == x and c.gamma == gamma)
@@ -336,8 +334,7 @@ def _monomial_spectrum(spec: SequenceSpec) -> BaseSpectrum:
 
 def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
            x_grid: Sequence[float], n_grid: Sequence[int], variant: Variant,
-           delta: float, threads: int,
-           window: GammaWindow | None = None) -> SweepResult:
+           threads: int, window: GammaWindow | None = None) -> SweepResult:
     """The one sweep core: cells in (gamma, x, N) order, one label per pair.
 
     theta, the per-N discrepancies and one window state per gamma are built
@@ -346,6 +343,12 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     sizes = sorted(int(n) for n in n_grid)
     if len(sizes) < 2:
         raise ValueError("n_grid needs at least two sizes")
+    xs = tuple(x_grid)
+    # one label per (x, gamma) pair: a repeat would only fail after the sweep
+    for name, values in (("gamma", gammas), ("x", xs)):
+        repeated = [v for v, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{name} grid repeats the value {repeated[0]!r}")
     n_max = sizes[-1]
     theta = theta_sequence(_monomial_spectrum(spec), n_max + 1)
     d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
@@ -357,14 +360,13 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
         for n in sizes:
             report = _inequality_report(
                 x, make_interval(x, n, gamma, variant),
-                theta.unit_values[1:n + 1], d_by_n[n], delta)
+                theta.unit_values[1:n + 1], d_by_n[n])
             bounds = b_lower_bounds(x, states[gamma], theta, n + 1)
             report = replace(report, s_count=bounds.s_count,
                              b_inverse=bounds.b_inverse)
             cells.append(CellResult(x=x, gamma=gamma, report=report))
         return cells
 
-    xs = tuple(x_grid)
     pairs = [(gamma, x) for gamma in gammas for x in xs]
     if threads > 1 and len(pairs) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -385,7 +387,6 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
 def divergence_scan(spec: SequenceSpec, gamma: float,
                     x_grid: Sequence[float], n_grid: Sequence[int],
                     variant: Variant = "combescure",
-                    delta: float = DEFAULT_DELTA,
                     threads: int = 1) -> SweepResult:
     """Count A(J_N(x), N) and #S(x) over a geometric N grid for several x.
 
@@ -396,7 +397,7 @@ def divergence_scan(spec: SequenceSpec, gamma: float,
     and results are always assembled in x-grid order regardless of
     completion order.
     """
-    return _sweep(spec, (gamma,), x_grid, n_grid, variant, delta, threads)
+    return _sweep(spec, (gamma,), x_grid, n_grid, variant, threads)
 
 
 def gamma_sweep(j: int, eta_estimate: float, beta: RationalApprox,
@@ -418,8 +419,7 @@ def gamma_sweep(j: int, eta_estimate: float, beta: RationalApprox,
     if any(not 0.5 < g <= 1.0 for g in gammas):
         raise ValueError("gamma grid must lie inside (1/2, 1]")
     return _sweep(SequenceSpec(j=j, beta=beta), gammas, x_grid, n_grid,
-                  variant, DEFAULT_DELTA, threads,
-                  window=gamma_window(j, eta_estimate))
+                  variant, threads, window=gamma_window(j, eta_estimate))
 
 
 def default_x_grid(count: int, n_min: int | None = None,

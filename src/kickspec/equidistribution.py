@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OracleSizeError
-from .rationals import RationalApprox, polynomial_fractional_parts
+from .rationals import UNIT_SCALE, RationalApprox, polynomial_fractional_parts
 
 __all__ = [
     "MAX_ET_PRODUCTS",
@@ -42,8 +42,7 @@ __all__ = [
 #: Most harmonic-times-point products the Erdos-Turan bounds of one run may
 #: take (m times the summed grid sizes); about 4 s at 4.4 ns per product.
 MAX_ET_PRODUCTS = 10**9
-_UNIT = 1 << 53
-_UNIT_F = float(_UNIT)
+_UNIT_F = float(UNIT_SCALE)
 _ORACLE_MAX_POINTS = 2000
 # Float deviations carry a few ulp of error; anything this close to the float
 # maximum is re-checked exactly.
@@ -180,10 +179,10 @@ def discrepancy_exact(points: Iterable[float]) -> DiscrepancyReport:
         if ks is not None:
             best_num = None
             for i in idx:
-                num = (int(i) + 1) * _UNIT - n * int(ks[i])
+                num = (int(i) + 1) * UNIT_SCALE - n * int(ks[i])
                 if best_num is None or sign * (num - best_num) > 0:
                     best_num = num
-            return Fraction(best_num, n * _UNIT)
+            return Fraction(best_num, n * UNIT_SCALE)
         best = None
         for i in idx:
             val = Fraction(int(i) + 1, n) - Fraction(float(xs[i]))
@@ -236,7 +235,7 @@ def discrepancy_oracle(points: Iterable[float]) -> float:
     if ks is not None and _HAVE_EXTENDED:
         # exact integer arithmetic, vectorised: numerators of the deviation
         # over the common denominator N * 2**53
-        scale = np.longdouble(_UNIT)
+        scale = np.longdouble(UNIT_SCALE)
         gap_num = (ks[None, :] - ks[:, None]).astype(np.longdouble) * n
         best_num = -1
         for start, end, mask in combos:
@@ -244,7 +243,7 @@ def discrepancy_oracle(points: Iterable[float]) -> float:
             dev_num = np.abs(counts * scale - gap_num)
             dev_num[~mask] = -1.0
             best_num = max(best_num, int(dev_num.max()))
-        return float(Fraction(best_num, n * _UNIT))
+        return float(Fraction(best_num, n * UNIT_SCALE))
 
     lengths = values[None, :] - values[:, None]
     float_best = -1.0
@@ -259,7 +258,7 @@ def discrepancy_oracle(points: Iterable[float]) -> float:
     for counts, dev in combo_results:
         for i, j in zip(*np.nonzero(dev >= float_best - _EXACT_BAND)):
             if ks is not None:
-                gap = Fraction(int(ks[j] - ks[i]), _UNIT)
+                gap = Fraction(int(ks[j] - ks[i]), UNIT_SCALE)
             else:
                 gap = Fraction(float(values[j])) - Fraction(float(values[i]))
             exact = abs(Fraction(int(counts[i, j]), n) - gap)
@@ -296,9 +295,6 @@ class ScalingFit:
     slope: float
     table: tuple[tuple[int, float], ...]
     reference_slope: float
-
-    def __iter__(self):
-        return iter(self.table)
 
 
 def discrepancy_scaling_fit(

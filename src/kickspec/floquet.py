@@ -501,13 +501,14 @@ class DynamicsTrace:
 
 
 def evolve(matrix: FloquetMatrix, state: KickState,
-           spec: BaseSpectrum | None = None, n_kicks: int = 1) -> DynamicsTrace:
+           n_kicks: int = 1) -> DynamicsTrace:
     """Iterate V on a state for n_kicks periods, matrix-free.
 
     Each kick is psi <- U psi, then psi += Psi (mu * (Psi^H psi)) with the
     kick states as the columns of Psi: O(dim * N) per kick and no
     decomposition.  States are recorded in blocks of bounded size, from which
-    c_n = <psi_0, psi_n> and <H0>_n are taken.  More than MAX_KICKS kicks
+    c_n = <psi_0, psi_n> and <H0>_n are taken, with H0 the eigenvalues alpha_n
+    of the spectrum the operator was built from.  More than MAX_KICKS kicks
     raise ResourceLimitError before anything is allocated.
     """
     if n_kicks < 1:
@@ -515,9 +516,8 @@ def evolve(matrix: FloquetMatrix, state: KickState,
     if n_kicks > MAX_KICKS:
         raise ResourceLimitError(
             f"{n_kicks} kicks exceed the limit {MAX_KICKS}")
-    spec = matrix.spectrum if spec is None else spec
     psi0 = truncate_state(state, matrix.dim).coefficients
-    h0 = alpha_sequence(spec, matrix.dim)
+    h0 = alpha_sequence(matrix.spectrum, matrix.dim)
     u = matrix.u
     kicks = np.array([s.coefficients for s in matrix.ensemble.states],
                      dtype=np.complex128).reshape(-1, matrix.dim).T

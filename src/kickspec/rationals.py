@@ -85,10 +85,6 @@ class RationalApprox:
     def from_fraction(cls, value: Fraction, source_depth: int = 0) -> "RationalApprox":
         return cls(value.numerator, value.denominator, source_depth)
 
-    @classmethod
-    def from_float(cls, value: float) -> "RationalApprox":
-        return cls.from_fraction(Fraction(value))
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 

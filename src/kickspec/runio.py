@@ -26,6 +26,7 @@ __all__ = [
     "manifest_hash",
     "atomic_write_text",
     "write_csv",
+    "write_json",
     "CellCache",
 ]
 
@@ -96,6 +97,13 @@ def write_csv(path: Path, table: ResultTable,
     atomic_write_text(Path(path), buffer.getvalue())
 
 
+def write_json(path: Path, payload: dict[str, Any]) -> None:
+    """Write a JSON object with sorted keys, two-space indent and a final
+    newline, so equal payloads give equal bytes."""
+    atomic_write_text(Path(path),
+                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def canonical_params(params: dict[str, Any]) -> str:
     """Canonical JSON of a parameter map: sorted keys, no whitespace."""
     return json.dumps(params, sort_keys=True, separators=(",", ":"))
@@ -135,7 +143,7 @@ class RunManifest:
             "timestamp": self.timestamp,
             "outputs": list(self.outputs),
         }
-        atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(path, payload)
         return path
 
 

@@ -104,10 +104,6 @@ class BaseSpectrum:
                               for c in coefficients),
                    hbar=hbar, period=as_fraction(period))
 
-    @property
-    def degree(self) -> int:
-        return len(self.beta) - 1
-
 
 def alpha_sequence(spec: BaseSpectrum, n_terms: int) -> np.ndarray:
     """Eigenvalues alpha_n = 2*pi*hbar*sum_j beta_j n**j for n = 0..n_terms-1."""
@@ -322,10 +318,6 @@ class KickEnsemble:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim if self.states else 0
-
 
 def orthonormal_ensemble(gamma: float, n_states: int, dim: int,
                          strengths: Sequence[float]) -> KickEnsemble:
@@ -357,22 +349,22 @@ class Divergent:
 
 
 def b_inverse_partial(x: float, state: KickState, theta: ThetaSequence,
-                      n_terms: int, pole_tol: float = POLE_TOL):
+                      n_terms: int):
     """Partial sum of B^-1(x) = sum_n |a_n|^2 / sin^2((x - theta_n)/2).
 
     Nondecreasing in n_terms.  Returns a Divergent marker instead of a float
     when x coincides with some theta_n carrying nonzero weight (distance on
-    the circle below pole_tol); zero-weight terms never contribute and never
+    the circle below POLE_TOL); zero-weight terms never contribute and never
     make a pole.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
     if n_terms > min(state.dim, len(theta)):
         raise ValueError("n_terms exceeds the available state or phase length")
-    w = state.weights()[:n_terms]
+    w = np.abs(state.coefficients[:n_terms]) ** 2
     mask = w > 0.0
     d = circle_distance(x, theta.values[:n_terms])
-    hits = np.nonzero(mask & (d < pole_tol))[0]
+    hits = np.nonzero(mask & (d < POLE_TOL))[0]
     if hits.size:
         return Divergent(pole_index=int(hits[0]))
     s = np.sin(0.5 * d[mask])
@@ -380,14 +372,14 @@ def b_inverse_partial(x: float, state: KickState, theta: ThetaSequence,
 
 
 def b_inverse_per_kick(x: float, ensemble: KickEnsemble, theta: ThetaSequence,
-                       n_terms: int, pole_tol: float = POLE_TOL):
+                       n_terms: int):
     """Per-state partial sums of B_k^-1(x) and their product.
 
     e^{ix} keeps a point mass only while every factor stays finite, so the
     product is reported alongside the individual factors; if any factor
     diverges the product is the same Divergent marker.
     """
-    per_k = tuple(b_inverse_partial(x, state, theta, n_terms, pole_tol)
+    per_k = tuple(b_inverse_partial(x, state, theta, n_terms)
                   for state in ensemble.states)
     product: float | Divergent = 1.0
     for value in per_k:
@@ -418,8 +410,7 @@ def point_mass(x, lambda_over_hbar: float, b_inverse):
 
 
 def cotangent_residual(x: float, state: KickState, theta: ThetaSequence,
-                       lambda_over_hbar: float,
-                       pole_tol: float = POLE_TOL) -> float:
+                       lambda_over_hbar: float) -> float:
     """sum_n |a_n|^2 cot((x - theta_n)/2) - cot(lambda/(2*hbar)).
 
     A root in x is an eigenphase of the rank-1 kicked operator built from
@@ -432,11 +423,11 @@ def cotangent_residual(x: float, state: KickState, theta: ThetaSequence,
     if not np.any(mask):
         raise ValueError("state carries no weight inside the phase window")
     d_circ = circle_distance(x, theta.values[:n_terms])
-    hits = np.nonzero(mask & (d_circ < pole_tol))[0]
+    hits = np.nonzero(mask & (d_circ < POLE_TOL))[0]
     if hits.size:
         raise PoleError(int(hits[0]))
     s_kick = math.sin(0.5 * lambda_over_hbar)
-    if abs(s_kick) < pole_tol:
+    if abs(s_kick) < POLE_TOL:
         raise TrivialPerturbationError(
             f"lambda/hbar = {lambda_over_hbar} is congruent to 0 mod 2*pi")
     half = 0.5 * (x - theta.values[:n_terms][mask])

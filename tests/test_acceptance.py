@@ -294,8 +294,7 @@ def test_criterion_11_wiener_diagnostic():
                            KickEnsemble(states=(state,), strengths=(1.0,)),
                            dim)
     dec = eigen_decompose(matrix)
-    trace = evolve(matrix, matrix.ensemble.states[0], HARMONIC,
-                   n_kicks=10_000)
+    trace = evolve(matrix, matrix.ensemble.states[0], n_kicks=10_000)
     mean, mass = wiener_average(trace, dec, 0)
     gap = abs(mean - mass)
     assert gap <= 0.02
@@ -306,7 +305,7 @@ def test_criterion_11_wiener_diagnostic():
     v2 = build_floquet(spec2, KickEnsemble(states=(psi,), strengths=(math.pi,)),
                        2)
     dec2 = eigen_decompose(v2)
-    trace2 = evolve(v2, v2.ensemble.states[0], spec2, n_kicks=100)
+    trace2 = evolve(v2, v2.ensemble.states[0], n_kicks=100)
     mean2, mass2 = wiener_average(trace2, dec2, 0)
     assert mean2 == pytest.approx(0.5, abs=1e-12)
     assert mass2 == pytest.approx(0.5, abs=1e-12)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kickspec import errors
 from kickspec.cli import main, parse_beta_spec, parse_size_grid
 from kickspec.equidistribution import (
     SequenceSpec,
@@ -165,18 +166,52 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
 
-    def test_tolerance_violation_maps_to_4(self, tmp_path, monkeypatch,
-                                           capsys):
-        from kickspec.errors import ToleranceError
+    @pytest.mark.parametrize("precision", ["0", "-5", "abc"])
+    def test_precision_below_one_rejected(self, precision, tmp_path, capsys):
+        code = main(["discrepancy", "--beta", "golden", "--precision",
+                     precision, "--n-grid", "1e3:1e4:2",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "--precision" in capsys.readouterr().err
+        assert not (tmp_path / "discrepancy.csv").exists()
+
+    @pytest.mark.parametrize("flags, value", [
+        (["--x-grid", "2.0,2.0,3.0", "--gamma-grid", "0.6,0.75"], "2.0"),
+        (["--x-grid", "2.0,3.0", "--gamma-grid", "0.6,0.75,0.6"], "0.6"),
+    ])
+    def test_repeated_grid_value_rejected(self, flags, value, tmp_path,
+                                          capsys):
+        code = main(["scount", "--beta", "golden", *flags,
+                     "--n-grid", "1e3:3e5:4", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"repeats the value {value}" in capsys.readouterr().err
+        assert not (tmp_path / "cells.csv").exists()
+
+    # every class of kickspec.errors, so that a class which stops deriving
+    # from ValueError (or a new one) cannot slip past the one handler
+    @pytest.mark.parametrize("error_class", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, Exception)
+    ], ids=lambda cls: cls.__name__)
+    def test_error_class_maps_to_exit_code(self, error_class, tmp_path,
+                                           monkeypatch, capsys):
         import kickspec.cli as cli_mod
 
+        error = error_class(3) if error_class is errors.PoleError \
+            else error_class("synthetic failure")
+
         def explode(*args, **kwargs):
-            raise ToleranceError("synthetic unitarity defect")
+            raise error
 
         monkeypatch.setattr(cli_mod, "build_floquet", explode)
         code = main(["spectrum", "--beta", "golden", "--dim", "8",
                      "--out", str(tmp_path)])
-        assert code == 4
+        expected = {errors.ToleranceError: 4,
+                    errors.ResourceLimitError: 3}.get(error_class, 2)
+        if expected == 2:
+            assert issubclass(error_class, ValueError)
+        assert code == expected
+        assert str(error) in capsys.readouterr().err
 
 
 class TestDiscrepancyCommand:

@@ -325,6 +325,15 @@ class TestSweepCore:
             assert rep.b_inverse == b_inverse_partial(cell.x, state, theta,
                                                       n + 1)
 
+    def test_repeated_x_rejected_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("theta built for a grid with a repeat")
+
+        monkeypatch.setattr(counting_mod, "theta_sequence", fail)
+        with pytest.raises(ValueError, match="x grid repeats the value 2.0"):
+            divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.75,
+                            [2.0, 3.0, 2.0], [1000, 3000])
+
 
 class TestThetaSequenceBridge:
     def test_scan_phases_match_sequence_points(self):

@@ -212,7 +212,7 @@ class TestEvolve:
     def test_two_level_alternation(self):
         spec, ensemble = two_level_setup()
         v = build_floquet(spec, ensemble, 2)
-        trace = evolve(v, ensemble.states[0], spec, n_kicks=9)
+        trace = evolve(v, ensemble.states[0], n_kicks=9)
         expected = [(1.0 + (-1.0) ** n) / 2.0 for n in range(10)]
         assert trace.survival() == pytest.approx(expected, abs=1e-12)
         assert abs(trace.amplitudes[0] - 1.0) <= 1e-12
@@ -221,13 +221,13 @@ class TestEvolve:
         spec, ensemble = two_level_setup()
         v = build_floquet(spec, ensemble, 2)
         with pytest.raises(ResourceLimitError):
-            evolve(v, ensemble.states[0], spec, n_kicks=MAX_KICKS + 1)
+            evolve(v, ensemble.states[0], n_kicks=MAX_KICKS + 1)
 
     def test_diagonal_no_heating(self):
         empty = KickEnsemble(states=(), strengths=())
         v = build_floquet(HARMONIC, empty, 16)
         state = full_support_state(0.75, 16)
-        trace = evolve(v, state, HARMONIC, n_kicks=50)
+        trace = evolve(v, state, n_kicks=50)
         assert np.ptp(trace.energies) <= 1e-9
         assert (np.abs(trace.survival() - np.abs(trace.amplitudes[0]) ** 2)
                 <= 1.0).all()
@@ -235,7 +235,7 @@ class TestEvolve:
     def test_energy_bounded_by_truncation(self):
         dim = 64
         v = build_floquet(HARMONIC, rank1_full(dim, strength=1.3), dim)
-        trace = evolve(v, v.ensemble.states[0], HARMONIC, n_kicks=2000)
+        trace = evolve(v, v.ensemble.states[0], n_kicks=2000)
         from kickspec.spectral import alpha_sequence
         ceiling = np.max(alpha_sequence(HARMONIC, dim))
         assert (trace.energies <= ceiling + 1e-9).all()
@@ -246,7 +246,7 @@ class TestEvolve:
         dim = 8
         v = build_floquet(HARMONIC, rank1_full(dim, strength=0.9), dim)
         psi0 = v.ensemble.states[0].coefficients
-        trace = evolve(v, v.ensemble.states[0], HARMONIC, n_kicks=12)
+        trace = evolve(v, v.ensemble.states[0], n_kicks=12)
         psi = psi0.copy()
         for n in range(1, 13):
             psi = v.entries @ psi
@@ -259,7 +259,7 @@ class TestEvolve:
         dim = 4
         v = build_floquet(HARMONIC, rank1_full(dim, strength=1.1), dim)
         psi0 = v.ensemble.states[0].coefficients
-        trace = evolve(v, v.ensemble.states[0], HARMONIC, n_kicks=1030)
+        trace = evolve(v, v.ensemble.states[0], n_kicks=1030)
         power = np.linalg.matrix_power(np.asarray(v.entries), 1023)
         for n in (1023, 1024, 1025):
             c_n = np.vdot(psi0, power @ psi0)
@@ -272,7 +272,7 @@ class TestWienerAverage:
         spec, ensemble = two_level_setup()
         v = build_floquet(spec, ensemble, 2)
         dec = eigen_decompose(v)
-        trace = evolve(v, ensemble.states[0], spec, n_kicks=100)
+        trace = evolve(v, ensemble.states[0], n_kicks=100)
         mean, mass = wiener_average(trace, dec, 0)
         assert mean == pytest.approx(0.5, abs=1e-12)
         assert mass == pytest.approx(0.5, abs=1e-12)
@@ -284,7 +284,7 @@ class TestWienerAverage:
                              8)
         dec = eigen_decompose(bare, KickEnsemble(states=(basis_state,),
                                                  strengths=(1.0,)))
-        trace = evolve(bare, basis_state, HARMONIC, n_kicks=32)
+        trace = evolve(bare, basis_state, n_kicks=32)
         assert trace.survival() == pytest.approx(np.ones(33), abs=1e-12)
         assert dec.point_mass_sum(0) == pytest.approx(1.0, abs=1e-10)
 
@@ -295,7 +295,7 @@ class TestWienerAverage:
         state = v.ensemble.states[0]
         gaps = []
         for kicks in (200, 800, 3200):
-            trace = evolve(v, state, HARMONIC, n_kicks=kicks)
+            trace = evolve(v, state, n_kicks=kicks)
             mean, mass = wiener_average(trace, dec, 0)
             gaps.append(abs(mean - mass))
         assert gaps[-1] <= gaps[0] + 0.01
@@ -305,7 +305,7 @@ class TestWienerAverage:
         v1 = build_floquet(spec, ensemble, 2)
         v2 = build_floquet(spec, ensemble, 2)
         dec = eigen_decompose(v1)
-        trace = evolve(v2, ensemble.states[0], spec, n_kicks=10)
+        trace = evolve(v2, ensemble.states[0], n_kicks=10)
         with pytest.raises(ProvenanceError):
             wiener_average(trace, dec, 0)
 
@@ -313,6 +313,6 @@ class TestWienerAverage:
         spec, ensemble = two_level_setup()
         v = build_floquet(spec, ensemble, 2)
         dec = eigen_decompose(v)
-        trace = evolve(v, ensemble.states[0], spec, n_kicks=10)
+        trace = evolve(v, ensemble.states[0], n_kicks=10)
         with pytest.raises(ProvenanceError):
             wiener_average(trace, dec, 1)

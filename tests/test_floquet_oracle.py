@@ -223,7 +223,7 @@ class TestMatrixFreeEvolve:
             ensemble = orthonormal_ensemble(0.75, rank, dim, [1.1, 4.0][:rank])
             state = ensemble.states[0]
         matrix = build_floquet(HARMONIC, ensemble, dim)
-        trace = evolve(matrix, state, HARMONIC, n_kicks=1030)
+        trace = evolve(matrix, state, n_kicks=1030)
         h0 = alpha_sequence(HARMONIC, dim)
         psi0 = state.coefficients
         psi = psi0.copy()
@@ -242,7 +242,7 @@ class TestMatrixFreeEvolve:
                           / math.sqrt(2))
         matrix = build_floquet(spec, KickEnsemble(states=(plus, minus),
                                                   strengths=(1.0, 2.0)), 3)
-        trace = evolve(matrix, plus, spec, n_kicks=40)
+        trace = evolve(matrix, plus, n_kicks=40)
         psi = plus.coefficients.copy()
         for n in range(41):
             assert abs(trace.amplitudes[n] - np.vdot(plus.coefficients, psi)) \
