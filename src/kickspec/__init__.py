@@ -70,6 +70,7 @@ from .floquet import (
     wiener_average,
 )
 from .rationals import (
+    MAX_ANCHOR_WORK,
     MAX_TERMS,
     ContinuedFraction,
     RationalApprox,

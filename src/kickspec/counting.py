@@ -17,7 +17,12 @@ the discrepancy, and is asserted in every sweep cell.
 phases theta_n, the exact D_N for every grid size and one window state per
 gamma once for the whole sweep, and evaluates each cell with the same
 inequality code as ``inequality_check`` plus one ``b_lower_bounds`` call,
-which also supplies #S(x).
+which also supplies #S(x).  ``b_lower_bounds`` makes one distance pass per
+cell: it computes |a_n| and the circle distances of the prefix once and
+derives #S(x), the widened count and the B^-1 partial sum from them.  Each
+of those formulas has one private home (``_s_count``, ``_wide_count`` and
+``spectral._b_inverse_sum``); ``count_set_S``, ``count_set_bourget`` and
+``b_inverse_partial`` are single-quantity views of the same helpers.
 
 Distances are circular on [0, 2*pi): plain absolute differences undercount
 near the wrap-around, and eigenphases live on the circle.
@@ -41,7 +46,7 @@ from .spectral import (
     GammaWindow,
     KickState,
     ThetaSequence,
-    b_inverse_partial,
+    _b_inverse_sum,
     circle_distance,
     gamma_window,
     power_law_state,
@@ -149,13 +154,21 @@ def count_set_S(x: float, state: KickState, theta: ThetaSequence,
     Uses the state's actual (normalised) coefficients as the per-index
     window; indices with a_m = 0 can never qualify.
     """
+    _check_prefix(n, state, theta)
+    return _s_count(np.abs(state.coefficients[:n]),
+                    circle_distance(x, theta.values[:n]))
+
+
+def _check_prefix(n: int, state: KickState, theta: ThetaSequence) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > min(state.dim, len(theta)):
         raise ValueError("n exceeds the available state or phase length")
-    window = np.abs(state.coefficients[:n])
-    dist = circle_distance(x, theta.values[:n])
-    return int(np.count_nonzero((window > 0.0) & (dist <= window)))
+
+
+def _s_count(amplitudes: np.ndarray, dist: np.ndarray) -> int:
+    """#{m : 0 < |a_m| and dist_m <= |a_m|} over one prefix."""
+    return int(np.count_nonzero((amplitudes > 0.0) & (dist <= amplitudes)))
 
 
 def count_set_bourget(x: float, theta: ThetaSequence, n: int,
@@ -165,8 +178,12 @@ def count_set_bourget(x: float, theta: ThetaSequence, n: int,
         raise ValueError("bourget window needs n >= 3")
     if n > len(theta):
         raise ValueError("n exceeds the phase length")
+    return _wide_count(circle_distance(x, theta.values[:n]), n, gamma)
+
+
+def _wide_count(dist: np.ndarray, n: int, gamma: float) -> int:
+    """#{m : dist_m <= min(2*pi*bourget_half_width(n, gamma), pi)}."""
     window = TWO_PI * bourget_half_width(n, gamma)
-    dist = circle_distance(x, theta.values[:n])
     return int(np.count_nonzero(dist <= min(window, math.pi)))
 
 
@@ -258,14 +275,23 @@ def b_lower_bounds(x: float, state: KickState, theta: ThetaSequence,
     widened bound follows the same substitution with the N-dependent window;
     its textbook constant 1/pi**2 assumes coefficients of size n**(-gamma)
     without the normalisation constant, which desk-scale margins absorb.
+
+    |a_m| and the circle distances of the prefix are computed once and
+    serve #S(x), the widened count and the partial sum alike.
     """
     if state.gamma is None:
         raise ValueError("the widened bound needs a power-law state (gamma)")
-    s_count = count_set_S(x, state, theta, n)
+    _check_prefix(n, state, theta)
+    if n < 3:
+        raise ValueError("bourget window needs n >= 3")
+    amplitudes = np.abs(state.coefficients[:n])
+    dist = circle_distance(x, theta.values[:n])
+    s_count = _s_count(amplitudes, dist)
     per_term = 4.0 * s_count
-    s_wide = count_set_bourget(x, theta, n, state.gamma)
+    s_wide = _wide_count(dist, n, state.gamma)
     widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - state.gamma))
-    value = b_inverse_partial(x, state, theta, n)
+    # the counts are done with |a_m|: square it in place into the weights
+    value = _b_inverse_sum(np.square(amplitudes, out=amplitudes), dist)
     if not isinstance(value, Divergent):
         if value < per_term:
             raise ToleranceError(

@@ -140,15 +140,14 @@ def truncate_state(state: KickState, dim: int) -> KickState:
         coeffs = np.zeros(dim, dtype=np.complex128)
         coeffs[: state.dim] = state.coefficients
         return KickState(coefficients=coeffs, gamma=state.gamma,
-                         support=state.support, lost_tail=state.lost_tail)
+                         lost_tail=state.lost_tail)
     coeffs = np.array(state.coefficients[:dim])
     kept = float(np.sum(np.abs(coeffs) ** 2))
     if kept <= 0.0:
         raise EnsembleError("truncation removed all of the state's weight")
     coeffs /= math.sqrt(kept)
     dropped = float(np.sum(np.abs(state.coefficients[dim:]) ** 2))
-    support = tuple(i for i in state.support if i < dim)
-    return KickState(coefficients=coeffs, gamma=state.gamma, support=support,
+    return KickState(coefficients=coeffs, gamma=state.gamma,
                      lost_tail=state.lost_tail + dropped)
 
 

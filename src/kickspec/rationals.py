@@ -27,6 +27,7 @@ import numpy as np
 from .errors import PrecisionError, ResourceLimitError
 
 __all__ = [
+    "MAX_ANCHOR_WORK",
     "MAX_TERMS",
     "RationalApprox",
     "ContinuedFraction",
@@ -49,6 +50,11 @@ UNIT_SCALE = 1 << 53
 _UNIT_SCALE_F = float(UNIT_SCALE)
 #: Most sequence terms one call may produce (80 MB of float64).
 MAX_TERMS = 10**7
+#: Most big-integer products one call may spend on block anchors: each of
+#: the ceil(n_terms / B) anchors costs about (degree + 1)**2 of them, and B
+#: falls to 2 from degree 23, so high degrees would otherwise run as a
+#: nearly per-point big-integer loop.
+MAX_ANCHOR_WORK = 10**7
 #: Largest block of indices sharing one exact anchor.
 _MAX_BLOCK = 4096
 #: Points evaluated per vectorised pass; keeps the limb temporaries at a few MB.
@@ -284,7 +290,8 @@ def polynomial_fractional_parts(
     exact floor(2**53 {P(a + i)}) unless its low 75 bits lie within that
     error of a carry; those points are recomputed exactly.  The result
     equals ``unit_float`` of every exact value, bit for bit.  More than
-    MAX_TERMS terms raise ResourceLimitError before anything is allocated.
+    MAX_TERMS terms, or anchor work ceil(n_terms / B) * (degree + 1)**2 above
+    MAX_ANCHOR_WORK, raise ResourceLimitError before anything is allocated.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
@@ -295,13 +302,18 @@ def polynomial_fractional_parts(
     if not nums:
         raise ValueError("need at least one coefficient")
     degree = len(nums) - 1
+    block = _block_size(degree)
+    n_blocks = -(-n_terms // block)
+    if n_blocks * (degree + 1) ** 2 > MAX_ANCHOR_WORK:
+        raise ResourceLimitError(
+            f"{n_blocks} block anchors of degree {degree} exceed the anchor "
+            f"work limit {MAX_ANCHOR_WORK}")
 
     out = np.empty(n_terms, dtype=np.float64)
     if degree == 0:
         out.fill(unit_float(nums[0] % den, den))
         return out
 
-    block = _block_size(degree)
     offsets = np.arange(block, dtype=np.uint64)
     # 2**64 - sum_k i**k: the low 64 bits at or above which a value with all
     # eleven bits 64..74 set may carry into the output bits
@@ -310,7 +322,6 @@ def polynomial_fractional_parts(
         error_units = error_units * offsets + np.uint64(1)
     thresholds = ~(error_units - np.uint64(1))
 
-    n_blocks = -(-n_terms // block)
     per_chunk = max(1, _CHUNK_POINTS // block)
     flagged = []
     for first in range(0, n_blocks, per_chunk):

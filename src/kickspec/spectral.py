@@ -163,26 +163,35 @@ def theta_sequence(spec: BaseSpectrum, n_terms: int) -> ThetaSequence:
 
 
 def circle_distance(x: float, angles: np.ndarray) -> np.ndarray:
-    """Distance on the circle of circumference 2*pi, in [0, pi]."""
-    d = np.abs(np.asarray(angles, dtype=np.float64) - x) % TWO_PI
-    return np.minimum(d, TWO_PI - d)
+    """Distance on the circle of circumference 2*pi, in [0, pi].
+
+    The reduction runs in place on one fresh array, never on ``angles``.
+    On the nonnegative |angle - x|, ``fmod`` equals numpy's ``%`` bit for
+    bit (an infinite difference gives nan), at about half the cost.
+    """
+    d = np.asarray(angles, dtype=np.float64) - x
+    np.abs(d, out=d)
+    np.fmod(d, TWO_PI, out=d)
+    return np.minimum(d, TWO_PI - d, out=d)
 
 
 @dataclass(frozen=True)
 class KickState:
-    """One kick vector as coefficients over the basis of the base spectrum."""
+    """One kick vector as coefficients over the basis of the base spectrum.
+
+    ``support``, the indices of the nonzero coefficients, is derived from
+    the coefficients on each access rather than stored.
+    """
 
     coefficients: np.ndarray
     gamma: float | None = None
-    support: tuple[int, ...] = ()
     lost_tail: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coefficients must be a nonempty vector")
-        support = self.support or tuple(int(i) for i in np.nonzero(coeffs)[0])
-        if not support:
+        if not np.any(coeffs):
             raise ValueError("kick state has empty support")
         norm_sq = float(np.sum(np.abs(coeffs) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
@@ -190,7 +199,11 @@ class KickState:
                              f"beyond {NORM_TOL}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "support", tuple(support))
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Indices n with a_n != 0, in increasing order."""
+        return tuple(np.flatnonzero(self.coefficients).tolist())
 
     @property
     def dim(self) -> int:
@@ -225,16 +238,17 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return math.fsum(terms)
 
 
-def _progression_tail(support: Sequence[int], gamma: float) -> float:
+def _progression_tail(support: np.ndarray, gamma: float) -> float:
     """Unnormalised weight sum n**(-2*gamma) over the continuation of an
-    arithmetic-progression support; zero when no progression is apparent."""
-    if len(support) < 2:
+    arithmetic-progression support (sorted indices); zero when no
+    progression is apparent."""
+    if support.size < 2:
         return 0.0
-    gaps = np.diff(np.asarray(support))
+    gaps = np.diff(support)
     if np.any(gaps != gaps[0]):
         return 0.0
     stride = int(gaps[0])
-    nxt = support[-1] + stride
+    nxt = int(support[-1]) + stride
     return stride ** (-2 * gamma) * _hurwitz_zeta(2 * gamma, nxt / stride)
 
 
@@ -253,22 +267,22 @@ def power_law_state(gamma: float, dim: int,
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if support is None:
-        indices = tuple(range(1, dim))
+        idx = np.arange(1, dim)
     else:
-        indices = tuple(sorted(int(i) for i in support))
+        indices = sorted(int(i) for i in support)
         if not indices:
             raise ValueError("support must be nonempty")
         if indices[0] < 1 or indices[-1] >= dim:
             raise ValueError("support must lie inside {1, ..., dim-1}")
         if len(set(indices)) != len(indices):
             raise ValueError("support has repeated indices")
-    idx = np.asarray(indices)
+        idx = np.asarray(indices)
     raw = idx.astype(np.float64) ** (-gamma)
     norm = 1.0 / math.sqrt(float(np.sum(raw**2)))
     coeffs = np.zeros(dim, dtype=np.complex128)
     coeffs[idx] = norm * raw
-    return KickState(coefficients=coeffs, gamma=gamma, support=indices,
-                     lost_tail=_progression_tail(indices, gamma))
+    return KickState(coefficients=coeffs, gamma=gamma,
+                     lost_tail=_progression_tail(idx, gamma))
 
 
 def full_support_state(gamma: float, dim: int) -> KickState:
@@ -286,7 +300,6 @@ def full_support_state(gamma: float, dim: int) -> KickState:
     raw = (np.arange(dim) + 1.0) ** (-gamma)
     raw /= math.sqrt(float(np.sum(raw**2)))
     return KickState(coefficients=raw.astype(np.complex128), gamma=gamma,
-                     support=tuple(range(dim)),
                      lost_tail=_hurwitz_zeta(2 * gamma, dim + 1))
 
 
@@ -361,14 +374,34 @@ def b_inverse_partial(x: float, state: KickState, theta: ThetaSequence,
         raise ValueError("n_terms must be at least 1")
     if n_terms > min(state.dim, len(theta)):
         raise ValueError("n_terms exceeds the available state or phase length")
-    w = np.abs(state.coefficients[:n_terms]) ** 2
-    mask = w > 0.0
-    d = circle_distance(x, theta.values[:n_terms])
-    hits = np.nonzero(mask & (d < POLE_TOL))[0]
-    if hits.size:
-        return Divergent(pole_index=int(hits[0]))
-    s = np.sin(0.5 * d[mask])
-    return float(np.sum(w[mask] / (s * s)))
+    return _b_inverse_sum(np.abs(state.coefficients[:n_terms]) ** 2,
+                          circle_distance(x, theta.values[:n_terms]))
+
+
+def _first_pole(mask: np.ndarray, dist: np.ndarray) -> int | None:
+    """First index that carries weight and lies within POLE_TOL of x."""
+    hits = np.flatnonzero(mask & (dist < POLE_TOL))
+    return int(hits[0]) if hits.size else None
+
+
+def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray):
+    """sum w_n / sin^2(d_n/2) over w_n > 0 from the weights |a_n|**2 and the
+    circle distances d_n of one prefix, or Divergent on a weighted pole.
+
+    Neither argument is written: sin^2(d_n/2) and the terms are built in
+    place on the two masked copies, with no further prefix-sized temporary.
+    """
+    mask = weights > 0.0
+    pole = _first_pole(mask, dist)
+    if pole is not None:
+        return Divergent(pole_index=pole)
+    s = dist[mask]
+    s *= 0.5
+    np.sin(s, out=s)
+    s *= s
+    terms = weights[mask]
+    terms /= s
+    return float(np.sum(terms))
 
 
 def b_inverse_per_kick(x: float, ensemble: KickEnsemble, theta: ThetaSequence,
@@ -422,10 +455,9 @@ def cotangent_residual(x: float, state: KickState, theta: ThetaSequence,
     mask = w > 0.0
     if not np.any(mask):
         raise ValueError("state carries no weight inside the phase window")
-    d_circ = circle_distance(x, theta.values[:n_terms])
-    hits = np.nonzero(mask & (d_circ < POLE_TOL))[0]
-    if hits.size:
-        raise PoleError(int(hits[0]))
+    pole = _first_pole(mask, circle_distance(x, theta.values[:n_terms]))
+    if pole is not None:
+        raise PoleError(pole)
     s_kick = math.sin(0.5 * lambda_over_hbar)
     if abs(s_kick) < POLE_TOL:
         raise TrivialPerturbationError(

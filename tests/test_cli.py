@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ class TestExitCodes:
         assert code == 3
         assert "exceed the limit" in capsys.readouterr().err
         assert not (tmp_path / "discrepancy.csv").exists()
+
+    def test_anchor_work_limit(self, tmp_path, capsys):
+        # degree 40 leaves blocks of 2 points: 5e4 anchors of 41**2 products
+        start = time.perf_counter()
+        code = main(["discrepancy", "--j", "40", "--beta", "golden",
+                     "--n-grid", "1e3:1e5:2", "--m", "4", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert "anchor work limit" in capsys.readouterr().err
+        assert elapsed < 1.0
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
     @pytest.mark.parametrize("flags", [["--lambdas", "nan"], ["--lambdas", "inf"],

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import kickspec.counting as counting_mod
 from kickspec.counting import (
+    BInverseBounds,
     b_lower_bounds,
+    bourget_half_width,
     count_interval,
     count_set_S,
     count_set_bourget,
@@ -19,14 +21,17 @@ from kickspec.counting import (
     make_interval,
 )
 from kickspec.equidistribution import SequenceSpec, sequence_points
-from kickspec.errors import IntervalRangeError, ResourceLimitError
+from kickspec.errors import IntervalRangeError, ResourceLimitError, ToleranceError
 from kickspec.rationals import RationalApprox, golden_ratio
 from kickspec.spectral import (
+    POLE_TOL,
     BaseSpectrum,
+    Divergent,
     KickState,
     ThetaSequence,
     b_inverse_partial,
     circle_distance,
+    full_support_state,
     power_law_state,
     theta_sequence,
 )
@@ -191,6 +196,151 @@ class TestBLowerBounds:
         state = power_law_state(0.75, n)
         value = b_inverse_partial(x, state, theta, n)
         assert value >= 4.0 * count_set_S(x, state, theta, n) - 1e-9
+
+
+# The three-pass evaluation that b_lower_bounds replaced: each quantity
+# recomputes |a_n| and the circle distances (reduced with numpy's %) of the
+# prefix.  The one-pass code must agree with it bit for bit.
+def modulo_distance(x, angles):
+    d = np.abs(np.asarray(angles, dtype=np.float64) - x) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
+
+
+def three_pass_s_count(x, state, theta, n):
+    window = np.abs(state.coefficients[:n])
+    dist = modulo_distance(x, theta.values[:n])
+    return int(np.count_nonzero((window > 0.0) & (dist <= window)))
+
+
+def three_pass_wide_count(x, theta, n, gamma):
+    window = TWO_PI * bourget_half_width(n, gamma)
+    dist = modulo_distance(x, theta.values[:n])
+    return int(np.count_nonzero(dist <= min(window, math.pi)))
+
+
+def three_pass_b_inverse(x, state, theta, n):
+    w = np.abs(state.coefficients[:n]) ** 2
+    mask = w > 0.0
+    d = modulo_distance(x, theta.values[:n])
+    hits = np.nonzero(mask & (d < POLE_TOL))[0]
+    if hits.size:
+        return Divergent(pole_index=int(hits[0]))
+    s = np.sin(0.5 * d[mask])
+    return float(np.sum(w[mask] / (s * s)))
+
+
+def three_pass_bounds(x, state, theta, n):
+    s_count = three_pass_s_count(x, state, theta, n)
+    per_term = 4.0 * s_count
+    s_wide = three_pass_wide_count(x, theta, n, state.gamma)
+    widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - state.gamma))
+    value = three_pass_b_inverse(x, state, theta, n)
+    if not isinstance(value, Divergent):
+        if value < per_term or value < widened:
+            raise ToleranceError("B^-1 partial sum below a lower bound")
+    return BInverseBounds(s_count=s_count, per_term_bound=per_term,
+                          widened_bound=widened, b_inverse=value)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ToleranceError as exc:
+        return type(exc)
+
+
+_N = 3000
+_THETA = theta_sequence(BaseSpectrum.harmonic(GOLDEN.as_fraction()), _N)
+
+
+def _tiny_weight_state():
+    # every seventh amplitude is 1e-170: positive, so it opens an S(x)
+    # window, but its square underflows to a zero weight in B^-1
+    coeffs = power_law_state(0.75, _N).coefficients.copy()
+    coeffs[5::7] = 1e-170
+    coeffs /= math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+    return KickState(coefficients=coeffs, gamma=0.75)
+
+
+_STATES = (power_law_state(0.6, _N),
+           power_law_state(0.75, _N, range(1, _N, 3)),
+           _tiny_weight_state(),
+           full_support_state(1.0, _N))
+
+
+class TestOnePassAgainstThreePasses:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(0, len(_STATES) - 1),
+           x=st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                       st.floats(0.0, 1e-6), st.floats(TWO_PI - 1e-6, TWO_PI),
+                       st.floats(-20.0, 20.0),
+                       st.integers(0, _N - 1).map(lambda m: _THETA.values[m])),
+           n=st.one_of(st.integers(3, _N), st.sampled_from([3, _N])))
+    def test_bit_identical(self, k, x, n):
+        state = _STATES[k]
+        assert outcome(b_lower_bounds, x, state, _THETA, n) == \
+            outcome(three_pass_bounds, x, state, _THETA, n)
+        assert count_set_S(x, state, _THETA, n) == \
+            three_pass_s_count(x, state, _THETA, n)
+        assert count_set_bourget(x, _THETA, n, 0.7) == \
+            three_pass_wide_count(x, _THETA, n, 0.7)
+        assert b_inverse_partial(x, state, _THETA, n) == \
+            three_pass_b_inverse(x, state, _THETA, n)
+
+    @pytest.mark.parametrize("k", range(len(_STATES)))
+    def test_wrap_and_full_length(self, k):
+        state = _STATES[k]
+        for x in (0.0, 1e-300, 5e-7, TWO_PI - 5e-7, np.nextafter(TWO_PI, 0.0),
+                  1.0, math.pi):
+            for n in (3, 4, 1000, _N - 1, _N):
+                assert outcome(b_lower_bounds, x, state, _THETA, n) == \
+                    outcome(three_pass_bounds, x, state, _THETA, n)
+                assert b_inverse_partial(x, state, _THETA, n) == \
+                    three_pass_b_inverse(x, state, _THETA, n)
+
+    def test_pole_returns_divergent(self):
+        state = _STATES[0]
+        x = float(_THETA.values[17])
+        bounds = b_lower_bounds(x, state, _THETA, _N)
+        assert bounds.b_inverse == Divergent(pole_index=17)
+        assert bounds == three_pass_bounds(x, state, _THETA, _N)
+
+    def test_zero_weight_is_no_pole(self):
+        # theta_0 = 0 carries a_0 = 0; the tiny-weight state also opens an
+        # S(x) window of width 1e-170 at theta_5 while its weight is zero
+        for state, m in ((_STATES[0], 0), (_STATES[2], 5)):
+            x = float(_THETA.values[m])
+            bounds = b_lower_bounds(x, state, _THETA, _N)
+            assert isinstance(bounds.b_inverse, float)
+            assert bounds == three_pass_bounds(x, state, _THETA, _N)
+        assert b_lower_bounds(float(_THETA.values[5]), _STATES[2], _THETA,
+                              _N).s_count >= 1
+
+    def test_one_distance_pass_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(x, angles):
+            calls.append(len(angles))
+            return circle_distance(x, angles)
+
+        monkeypatch.setattr(counting_mod, "circle_distance", counted)
+        b_lower_bounds(1.0, _STATES[0], _THETA, 2000)
+        assert calls == [2000]
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "n must be at least 1"),
+        (_N + 1, "n exceeds the available state or phase length"),
+        (2, "bourget window needs n >= 3"),
+    ])
+    def test_validation_order(self, n, message):
+        with pytest.raises(ValueError) as info:
+            b_lower_bounds(1.0, _STATES[0], _THETA, n)
+        assert str(info.value) == message
+
+    def test_needs_power_law_gamma(self):
+        state = KickState(coefficients=_STATES[0].coefficients)
+        with pytest.raises(ValueError, match="power-law state"):
+            b_lower_bounds(1.0, state, _THETA, 0)
 
 
 class TestDivergenceScan:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,30 @@ class TestPolynomialFractionalParts:
         assert polynomial_fractional_parts(coeffs, 1).size == 1
         with pytest.raises(ResourceLimitError):
             polynomial_fractional_parts(coeffs, MAX_TERMS + 1)
+
+    @pytest.mark.parametrize("degree", [24, 40])
+    def test_anchor_work_cap(self, degree, monkeypatch):
+        def no_anchor(*args):
+            raise AssertionError("an anchor was computed before the check")
+
+        monkeypatch.setattr(rationals, "_block_anchors", no_anchor)
+        coeffs = [Fraction(0)] * degree + [golden_ratio(200).as_fraction()]
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="anchor work limit"):
+            polynomial_fractional_parts(coeffs, 100_000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_anchor_work_boundary(self, monkeypatch):
+        # degree 24 runs in blocks of 2 points, each anchor 25**2 products
+        monkeypatch.setattr(rationals, "MAX_ANCHOR_WORK", 3 * 25**2)
+        coeffs = [Fraction(0)] * 24 + [golden_ratio(200).as_fraction()]
+        vals = polynomial_fractional_parts(coeffs, 6, start=1)
+        for n, v in enumerate(vals, start=1):
+            exact = coeffs[-1] * n**24
+            exact -= math.floor(exact)
+            assert v == unit_float(exact.numerator, exact.denominator)
+        with pytest.raises(ResourceLimitError):
+            polynomial_fractional_parts(coeffs, 7, start=1)
 
     def test_bit_determinism(self):
         coeffs = [Fraction(0), Fraction(0), golden_ratio(120).as_fraction()]

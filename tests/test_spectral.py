@@ -18,6 +18,7 @@ from kickspec.errors import (
     PoleError,
     TrivialPerturbationError,
 )
+from kickspec.floquet import truncate_state
 from kickspec.rationals import golden_ratio
 from kickspec.spectral import (
     BaseSpectrum,
@@ -28,6 +29,7 @@ from kickspec.spectral import (
     alpha_sequence,
     b_inverse_partial,
     b_inverse_per_kick,
+    circle_distance,
     cotangent_residual,
     full_support_state,
     gamma_window,
@@ -176,6 +178,104 @@ class TestPowerLawState:
         theta = theta_sequence(BaseSpectrum.harmonic(GOLDEN), 8)
         with pytest.raises((ValueError, RuntimeError)):
             theta.values[0] = 1.0
+
+
+def modulo_distance(x, angles):
+    """circle_distance as it was written with numpy's ``%``: the oracle of
+    the in-place fmod reduction."""
+    d = np.abs(np.asarray(angles, dtype=np.float64) - x) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestCircleDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(_ANY_FLOAT, st.floats(-1e18, 1e18),
+                       st.sampled_from([0.0, -0.0, TWO_PI, -TWO_PI, math.pi])),
+           angles=st.lists(st.one_of(_ANY_FLOAT, st.floats(-50.0, 50.0),
+                                     st.sampled_from([0.0, -0.0, TWO_PI])),
+                           min_size=1, max_size=40))
+    @example(x=-0.0, angles=[0.0, -0.0, TWO_PI])
+    @example(x=1e300, angles=[-1e300, math.inf, -math.inf, math.nan])
+    @example(x=math.nan, angles=[1.0])
+    @example(x=math.inf, angles=[math.inf, 3.0])
+    def test_equals_modulo_reduction_bit_for_bit(self, x, angles):
+        with np.errstate(invalid="ignore"):
+            fast = circle_distance(x, np.array(angles))
+            slow = modulo_distance(x, angles)
+        assert np.array_equal(fast, slow, equal_nan=True)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+
+    def test_caller_array_untouched(self):
+        theta = theta_sequence(BaseSpectrum.harmonic(GOLDEN), 64)
+        angles = np.linspace(-10.0, 20.0, 64)
+        before = angles.copy()
+        circle_distance(2.0, angles)
+        assert np.array_equal(angles, before)
+        # theta.values is read-only: a write into it would raise
+        assert np.array_equal(circle_distance(2.0, theta.values),
+                              modulo_distance(2.0, theta.values))
+
+
+def stored_progression_tail(support, gamma):
+    """The lost_tail of a state whose support was a stored tuple of ints."""
+    if len(support) < 2:
+        return 0.0
+    gaps = np.diff(np.asarray(support))
+    if np.any(gaps != gaps[0]):
+        return 0.0
+    stride = int(gaps[0])
+    nxt = support[-1] + stride
+    return stride ** (-2 * gamma) * _hurwitz_zeta(2 * gamma, nxt / stride)
+
+
+class TestDerivedSupport:
+    """``support`` is derived from the coefficients; it and ``lost_tail``
+    equal the values the states stored when support was a field."""
+
+    @pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("dim", [2, 3, 50, 1001])
+    def test_power_law_default(self, gamma, dim):
+        state = power_law_state(gamma, dim)
+        indices = tuple(range(1, dim))
+        assert state.support == indices
+        assert state.lost_tail == stored_progression_tail(indices, gamma)
+
+    @pytest.mark.parametrize("support", [{1}, {1, 2}, {3, 1, 2},
+                                         range(2, 99, 3), {1, 4, 9, 16}])
+    def test_power_law_explicit(self, support):
+        state = power_law_state(0.75, 100, support)
+        indices = tuple(sorted(support))
+        assert state.support == indices
+        assert state.lost_tail == stored_progression_tail(indices, 0.75)
+
+    def test_full_support(self):
+        state = full_support_state(0.75, 64)
+        assert state.support == tuple(range(64))
+        assert state.lost_tail == _hurwitz_zeta(1.5, 65)
+
+    @pytest.mark.parametrize("dim", [30, 100, 200])
+    def test_truncation(self, dim):
+        for state in (power_law_state(0.75, 100),
+                      power_law_state(0.6, 100, range(1, 100, 4))):
+            cut = truncate_state(state, dim)
+            assert cut.support == tuple(i for i in state.support if i < dim)
+            dropped = float(np.sum(np.abs(state.coefficients[dim:]) ** 2))
+            assert cut.lost_tail == state.lost_tail + dropped
+
+    @pytest.mark.parametrize("n_states", [1, 2, 3])
+    def test_orthonormal_ensemble(self, n_states):
+        ens = orthonormal_ensemble(0.75, n_states, 40, [1.0] * n_states)
+        for k, state in enumerate(ens.states):
+            indices = tuple(range(k + 1, 40, n_states))
+            assert state.support == indices
+            assert state.lost_tail == stored_progression_tail(indices, 0.75)
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="empty support"):
+            KickState(coefficients=np.zeros(3, dtype=complex))
 
 
 class TestHurwitzZeta:
