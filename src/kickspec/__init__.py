@@ -42,8 +42,10 @@ from .equidistribution import (
     discrepancy_oracle,
     discrepancy_scaling_fit,
     erdos_turan_bound,
+    erdos_turan_bounds,
     sequence_points,
     weyl_sum,
+    weyl_sums,
 )
 from .errors import (
     EnsembleError,

@@ -29,9 +29,10 @@ from .equidistribution import (
     classical_exponent,
     conjectured_exponent,
     discrepancy_exact,
-    erdos_turan_bound,
+    erdos_turan_bounds,
     sequence_points,
-    weyl_sum,
+    weyl_sums,
+    _log_log_slope,
 )
 from .errors import ResourceLimitError, ToleranceError
 from .floquet import (
@@ -187,20 +188,15 @@ def cmd_discrepancy(args) -> int:
             f"--m {args.m} harmonics over {sum(grid)} prefix points exceed "
             f"the limit {MAX_ET_PRODUCTS}")
     points = sequence_points(spec, grid[-1])
+    bounds = erdos_turan_bounds(points, grid, args.m)
     rows = []
-    for n in grid:
-        prefix = points[:n]
+    for n, et_bound in zip(grid, bounds):
         # building the full report re-validates d_n <= et_bound on every run
         rep = DiscrepancyReport(n_points=n,
-                                d_n=discrepancy_exact(prefix).d_n,
-                                et_bound=erdos_turan_bound(prefix, args.m),
-                                m_used=args.m)
+                                d_n=discrepancy_exact(points[:n]).d_n,
+                                et_bound=et_bound, m_used=args.m)
         rows.append((rep.n_points, rep.d_n, rep.et_bound))
-    if len(rows) >= 2:
-        slope = float(np.polyfit(np.log([r[0] for r in rows]),
-                                 np.log([r[1] for r in rows]), 1)[0])
-    else:
-        slope = math.nan
+    slope = _log_log_slope(rows)
     table = ResultTable(columns=("N", "D_N", "ET_bound"),
                         units=("count", "dimensionless", "dimensionless"),
                         rows=tuple(rows))
@@ -222,10 +218,11 @@ def cmd_weyl(args) -> int:
         raise ResourceLimitError(
             f"--h-max {args.h_max} sums of up to {grid[-1]} terms exceed "
             f"the limit {MAX_TERMS}")
+    by_harmonic = [weyl_sums(spec, h, grid) for h in range(1, args.h_max + 1)]
     rows = []
-    for n in grid:
-        for h in range(1, args.h_max + 1):
-            s = weyl_sum(spec, h, n)
+    for i, n in enumerate(grid):
+        for h, sums in enumerate(by_harmonic, start=1):
+            s = sums[i]
             rows.append((n, h, s.value.real, s.value.imag, s.modulus,
                          s.modulus / n))
     table = ResultTable(

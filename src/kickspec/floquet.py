@@ -84,7 +84,9 @@ _RECORD_ELEMENTS = 1 << 18
 Convention = Literal["additive_r_k", "exponential_product"]
 
 
-@dataclass(frozen=True)
+# Dataclasses holding arrays take eq=False and so compare and hash by
+# identity: a generated __eq__ or __hash__ over an array field raises.
+@dataclass(frozen=True, eq=False)
 class FloquetMatrix:
     """Truncated Floquet operator V = (I + sum_k mu_k P_k) U by its parts.
 
@@ -219,7 +221,7 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
                          unitarity_defect=defect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Sorted eigenphases of V with spectral weights per probe state.
 
@@ -475,7 +477,7 @@ def eigen_decompose(matrix: FloquetMatrix,
                               source=matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicsTrace:
     """Per-kick survival amplitudes c_n = <psi|V^n|psi> and energies <H0>_n."""
 

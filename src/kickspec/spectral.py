@@ -121,7 +121,9 @@ def alpha_sequence(spec: BaseSpectrum, n_terms: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+# Dataclasses holding arrays take eq=False and so compare and hash by
+# identity: a generated __eq__ or __hash__ over an array field raises.
+@dataclass(frozen=True, eq=False)
 class ThetaSequence:
     """Eigenphases theta_n in [0, 2*pi) of one unkicked period.
 
@@ -175,7 +177,7 @@ def circle_distance(x: float, angles: np.ndarray) -> np.ndarray:
     return np.minimum(d, TWO_PI - d, out=d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KickState:
     """One kick vector as coefficients over the basis of the base spectrum.
 
@@ -303,7 +305,7 @@ def full_support_state(gamma: float, dim: int) -> KickState:
                      lost_tail=_hurwitz_zeta(2 * gamma, dim + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KickEnsemble:
     """Orthonormal kick states with their strengths lambda_k (action units)."""
 

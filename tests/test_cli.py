@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kickspec
 from kickspec import errors
 from kickspec.cli import main, parse_beta_spec, parse_size_grid
 from kickspec.equidistribution import (
@@ -105,7 +110,7 @@ class TestExitCodes:
     def test_weyl_harmonic_limit(self, tmp_path, monkeypatch, capsys):
         import kickspec.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "weyl_sum", None)
+        monkeypatch.setattr(cli_mod, "weyl_sums", None)
         code = main(["weyl", "--beta", "golden", "--h-max", "100000000",
                      "--n-grid", "1e3:1e4:2", "--out", str(tmp_path)])
         assert code == 3
@@ -463,3 +468,20 @@ class TestDeterminism:
         assert main(base + ["--out", str(out2)]) == 0
         assert (out1 / "discrepancy.csv").read_bytes() == \
             (out2 / "discrepancy.csv").read_bytes()
+
+    def test_blas_threads_byte_identical(self, tmp_path):
+        # the Erdos-Turan harmonic sums are BLAS products over 8192-point
+        # blocks; the thread count must not change their summation order
+        src = str(Path(kickspec.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "kickspec", "discrepancy",
+                            "--j", "3", "--beta", "sqrt2",
+                            "--n-grid", "1e3:3e4:4", "--m", "64",
+                            "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            outputs.append((out / "discrepancy.csv").read_bytes())
+        assert outputs[0] == outputs[1]

@@ -1,4 +1,7 @@
+import cmath
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +16,13 @@ from kickspec.equidistribution import (
     discrepancy_oracle,
     discrepancy_scaling_fit,
     erdos_turan_bound,
+    erdos_turan_bounds,
     sequence_points,
     weyl_sum,
+    weyl_sums,
 )
 from kickspec.errors import OracleSizeError
-from kickspec.rationals import RationalApprox, golden_ratio
+from kickspec.rationals import UNIT_SCALE, RationalApprox, golden_ratio, sqrt_two
 
 GOLDEN = golden_ratio(200)
 unit_points = st.lists(
@@ -28,6 +33,51 @@ unit_points = st.lists(
 
 def spec(j, beta):
     return SequenceSpec(j=j, beta=beta)
+
+
+# The blocked Erdos-Turan sums add in another order than the per-harmonic
+# loop; both sit within 14 ulp (1.7e-15 relative) of the exact-phase
+# reference on the cases below, so this leaves a margin of about six.
+ET_REL_TOL = 1e-14
+ET_SEQUENCES = {
+    "golden-j1": spec(1, GOLDEN),
+    "sqrt2-j3": spec(3, sqrt_two()),
+    "rational-j2": spec(2, RationalApprox(12345, 67891)),
+}
+ET_HARMONICS = (1, 7, 64, 65, 200)
+# one point, inside the first 8192-point block, on its boundary, one past it
+REFERENCE_SIZES = (1, 5000, 8192, 8193)
+
+
+def loop_erdos_turan(pts, m):
+    """The per-harmonic loop the blocked bound replaced: z^h by sequential
+    products, one full-array sum per harmonic."""
+    base = np.exp(2j * np.pi * pts)
+    current = base.copy()
+    total = 0.0
+    for h in range(1, m + 1):
+        if h > 1:
+            current *= base
+        total += abs(complex(current.sum())) / (h * pts.size)
+    return 6.0 / (m + 1) + (4.0 / math.pi) * total
+
+
+@functools.lru_cache(maxsize=None)
+def reference_harmonic_sums(name):
+    """Points and {n: [S_1..S_200] over the first n points}, standard library
+    only: each phase h*k (x = k / 2**53) is reduced exactly mod 2**53 before
+    cmath.exp, and every sum is a math.fsum."""
+    pts = sequence_points(ET_SEQUENCES[name], max(REFERENCE_SIZES))
+    ks = [int(x * UNIT_SCALE) for x in pts]
+    turn = 2j * math.pi / UNIT_SCALE
+    sums = {n: [] for n in REFERENCE_SIZES}
+    for h in range(1, max(ET_HARMONICS) + 1):
+        terms = [cmath.exp(turn * ((h * k) % UNIT_SCALE)) for k in ks]
+        re = [t.real for t in terms]
+        im = [t.imag for t in terms]
+        for n in REFERENCE_SIZES:
+            sums[n].append(complex(math.fsum(re[:n]), math.fsum(im[:n])))
+    return pts, sums
 
 
 class TestSequencePoints:
@@ -74,6 +124,12 @@ class TestWeylSum:
     def test_modulus_never_exceeds_term_count(self, j, h, n, beta):
         s = weyl_sum(spec(j, RationalApprox.from_fraction(beta)), h, n)
         assert s.modulus <= n * (1 + 1e-12)
+
+    def test_prefix_sums_match_one_size_calls(self):
+        sp = spec(2, sqrt_two())
+        sizes = [4096, 1, 77, 1000]
+        for n, s in zip(sizes, weyl_sums(sp, 3, sizes)):
+            assert s == weyl_sum(sp, 3, n)
 
     def test_matches_brute_force_phases(self):
         sp = spec(2, RationalApprox(3, 7))
@@ -189,14 +245,54 @@ class TestErdosTuran:
 
     def test_matches_fresh_power_products(self):
         pts = sequence_points(spec(1, GOLDEN), 5000)
-        base = np.exp(2j * np.pi * pts)
-        current = np.ones_like(base)
-        total = 0.0
-        for h in range(1, 65):
-            current = current * base
-            total += abs(complex(current.sum())) / (h * pts.size)
-        assert erdos_turan_bound(pts, 64) == \
-            6.0 / 65 + (4.0 / math.pi) * total
+        assert erdos_turan_bound(pts, 64) == pytest.approx(
+            loop_erdos_turan(pts, 64), rel=ET_REL_TOL, abs=0)
+
+
+class TestErdosTuranBlocked:
+    @pytest.mark.parametrize("m", ET_HARMONICS)
+    @pytest.mark.parametrize("name", ET_SEQUENCES)
+    def test_matches_exact_phase_reference(self, name, m):
+        pts, sums = reference_harmonic_sums(name)
+        bounds = erdos_turan_bounds(pts, REFERENCE_SIZES, m)
+        for n, bound in zip(REFERENCE_SIZES, bounds):
+            total = math.fsum(abs(s) / (h * n)
+                              for h, s in enumerate(sums[n][:m], start=1))
+            expected = 6.0 / (m + 1) + (4.0 / math.pi) * total
+            assert bound == pytest.approx(expected, rel=ET_REL_TOL, abs=0)
+
+    @pytest.mark.parametrize("m", ET_HARMONICS)
+    @pytest.mark.parametrize("name", ET_SEQUENCES)
+    def test_matches_loop_and_one_size_calls(self, name, m):
+        # unsorted, with two full blocks plus tails and a three-block boundary
+        sizes = [30000, 1, 5000, 8192, 8193, 16384, 16385, 24576, 24577]
+        pts = sequence_points(ET_SEQUENCES[name], max(sizes))
+        for n, bound in zip(sizes, erdos_turan_bounds(pts, sizes, m)):
+            assert bound == pytest.approx(loop_erdos_turan(pts[:n], m),
+                                          rel=ET_REL_TOL, abs=0)
+            assert bound == erdos_turan_bound(pts[:n], m)
+
+    def test_size_validation(self):
+        pts = np.array([0.25, 0.5])
+        assert erdos_turan_bounds(pts, [], 4) == []
+        for bad in ([0], [3], [1, -1]):
+            with pytest.raises(ValueError, match="prefix sizes"):
+                erdos_turan_bounds(pts, bad, 4)
+        with pytest.raises(ValueError, match="m must be"):
+            erdos_turan_bounds(pts, [2], 0)
+
+    def test_memory_independent_of_m(self):
+        # one band of r*r harmonics would need a 142 x 142 complex product
+        # (323 kB) at m = 20000; bands of 64 keep every array tiny
+        tracemalloc.start()
+        try:
+            bound = erdos_turan_bounds(np.array([0.3, 0.7]), [2], 20000)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        assert bound == pytest.approx(loop_erdos_turan(np.array([0.3, 0.7]),
+                                                       20000), rel=1e-12)
 
 
 class TestScalingFit:

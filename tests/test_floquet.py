@@ -26,6 +26,7 @@ from kickspec.spectral import (
     cotangent_residual,
     full_support_state,
     orthonormal_ensemble,
+    power_law_state,
     theta_sequence,
 )
 
@@ -316,3 +317,22 @@ class TestWienerAverage:
         trace = evolve(v, ensemble.states[0], n_kicks=10)
         with pytest.raises(ProvenanceError):
             wiener_average(trace, dec, 1)
+
+
+def _array_holders():
+    state = power_law_state(0.75, 10)
+    ensemble = KickEnsemble(states=(state,), strengths=(1.0,))
+    matrix = build_floquet(HARMONIC, ensemble, 10)
+    return (state, ensemble, theta_sequence(HARMONIC, 10), matrix,
+            eigen_decompose(matrix), evolve(matrix, state, n_kicks=2))
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # a generated __eq__ over an array field raised ValueError, and the
+    # generated __hash__ raised TypeError
+    for first, second in zip(_array_holders(), _array_holders()):
+        assert type(first) is type(second)
+        assert first == first
+        assert first != second
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
