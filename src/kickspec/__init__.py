@@ -31,6 +31,7 @@ from .counting import (
     make_interval,
 )
 from .equidistribution import (
+    ET_SIZE_FLOOR,
     MAX_ET_PRODUCTS,
     DiscrepancyReport,
     ScalingFit,

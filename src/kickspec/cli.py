@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .counting import default_x_grid, gamma_sweep
 from .equidistribution import (
+    ET_SIZE_FLOOR,
     MAX_ET_PRODUCTS,
     DiscrepancyReport,
     SequenceSpec,
@@ -52,10 +53,10 @@ from .rationals import (
 from .runio import (
     CellCache,
     ResultTable,
-    RunManifest,
     manifest_hash,
     write_csv,
     write_json,
+    write_manifest,
 )
 from .spectral import (
     BaseSpectrum,
@@ -144,6 +145,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_at_least(lower: float):
+    """An argparse type: a finite float of at least ``lower``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= lower):
+            raise argparse.ArgumentTypeError(
+                f"needs a finite number of at least {lower:g}, got {text!r}")
+        return value
+    return parse
+
+
 def _spectrum_from_args(args) -> BaseSpectrum:
     coefficients = [parse_beta_spec(part, args.precision).as_fraction()
                     for part in args.beta.split(",")]
@@ -170,8 +185,10 @@ def _ensemble_from_args(args, dim: int) -> KickEnsemble:
     return orthonormal_ensemble(args.gamma, args.rank, dim, strengths)
 
 
-def _write_manifest(out: Path, command: str, params: dict, outputs) -> None:
-    RunManifest.create(command, params, __version__, outputs).write(out)
+def _flag_params(args) -> dict:
+    """The manifest parameters of a run: every parsed flag except --out."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("out", "func")}
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +199,13 @@ def _write_manifest(out: Path, command: str, params: dict, outputs) -> None:
 def cmd_discrepancy(args) -> int:
     beta = parse_beta_spec(args.beta, args.precision)
     grid = parse_size_grid(args.n_grid)
-    spec = SequenceSpec(j=args.j, beta=beta, label=args.beta)
-    if args.m * sum(grid) > MAX_ET_PRODUCTS:
+    spec = SequenceSpec(j=args.j, beta=beta)
+    # a harmonic costs as much on a tiny prefix as on ET_SIZE_FLOOR points
+    charged = sum(max(n, ET_SIZE_FLOOR) for n in grid)
+    if args.m * charged > MAX_ET_PRODUCTS:
         raise ResourceLimitError(
-            f"--m {args.m} harmonics over {sum(grid)} prefix points exceed "
-            f"the limit {MAX_ET_PRODUCTS}")
+            f"--m {args.m} harmonics over {charged} charged prefix points "
+            f"exceed the limit {MAX_ET_PRODUCTS}")
     points = sequence_points(spec, grid[-1])
     bounds = erdos_turan_bounds(points, grid, args.m)
     rows = []
@@ -194,18 +213,14 @@ def cmd_discrepancy(args) -> int:
         # building the full report re-validates d_n <= et_bound on every run
         rep = DiscrepancyReport(n_points=n,
                                 d_n=discrepancy_exact(points[:n]).d_n,
-                                et_bound=et_bound, m_used=args.m)
+                                et_bound=et_bound)
         rows.append((rep.n_points, rep.d_n, rep.et_bound))
     slope = _log_log_slope(rows)
-    table = ResultTable(columns=("N", "D_N", "ET_bound"),
-                        units=("count", "dimensionless", "dimensionless"),
-                        rows=tuple(rows))
+    table = ResultTable(columns=("N", "D_N", "ET_bound"), rows=tuple(rows))
     out = Path(args.out)
     write_csv(out / "discrepancy.csv", table, footer=[("slope", slope, "")])
-    params = {"command": "discrepancy", "j": args.j, "beta": args.beta,
-              "n_grid": args.n_grid, "m": args.m,
-              "precision": args.precision}
-    _write_manifest(out, "discrepancy", params, ["discrepancy.csv"])
+    write_manifest(out, "discrepancy", _flag_params(args), __version__,
+                   ["discrepancy.csv"])
     print(f"wrote {out / 'discrepancy.csv'} (slope {slope:.4f})")
     return 0
 
@@ -213,7 +228,7 @@ def cmd_discrepancy(args) -> int:
 def cmd_weyl(args) -> int:
     beta = parse_beta_spec(args.beta, args.precision)
     grid = parse_size_grid(args.n_grid)
-    spec = SequenceSpec(j=args.j, beta=beta, label=args.beta)
+    spec = SequenceSpec(j=args.j, beta=beta)
     if args.h_max * grid[-1] > MAX_TERMS:
         raise ResourceLimitError(
             f"--h-max {args.h_max} sums of up to {grid[-1]} terms exceed "
@@ -227,8 +242,6 @@ def cmd_weyl(args) -> int:
                          s.modulus / n))
     table = ResultTable(
         columns=("N", "h", "re_S", "im_S", "modulus", "modulus_over_N"),
-        units=("count", "harmonic", "dimensionless", "dimensionless",
-               "dimensionless", "dimensionless"),
         rows=tuple(rows))
     out = Path(args.out)
     write_csv(out / "weyl.csv", table)
@@ -238,10 +251,8 @@ def cmd_weyl(args) -> int:
             classical_exponent(args.j) if args.j >= 2 else None,
     }
     write_json(out / "summary.json", summary)
-    params = {"command": "weyl", "j": args.j, "beta": args.beta,
-              "n_grid": args.n_grid, "h_max": args.h_max,
-              "epsilon": args.epsilon, "precision": args.precision}
-    _write_manifest(out, "weyl", params, ["weyl.csv", "summary.json"])
+    write_manifest(out, "weyl", _flag_params(args), __version__,
+                   ["weyl.csv", "summary.json"])
     print(f"wrote {out / 'weyl.csv'}")
     return 0
 
@@ -253,15 +264,13 @@ def cmd_spectrum(args) -> int:
     decomposition = eigen_decompose(matrix)
     k_count = len(matrix.ensemble)
     columns = ["index", "eigenphase_rad"] + [f"weight_{k}" for k in range(k_count)]
-    units = ["index", "radian"] + ["probability"] * k_count
     rows = []
     for i, phase in enumerate(decomposition.eigenphases):
         rows.append((i, float(phase),
                      *(float(decomposition.weights[k, i]) for k in range(k_count))))
     out = Path(args.out)
     write_csv(out / "eigenphases.csv",
-              ResultTable(columns=tuple(columns), units=tuple(units),
-                          rows=tuple(rows)))
+              ResultTable(columns=tuple(columns), rows=tuple(rows)))
     summary = {
         "dim": args.dim,
         "convention": args.convention,
@@ -279,13 +288,8 @@ def cmd_spectrum(args) -> int:
             for x in decomposition.eigenphases]
         summary["max_secular_residual"] = max(residuals)
     write_json(out / "summary.json", summary)
-    params = {"command": "spectrum", "beta": args.beta, "hbar": args.hbar,
-              "period": args.period, "rank": args.rank, "gamma": args.gamma,
-              "lambdas": args.lambdas, "dim": args.dim,
-              "kick_state": args.kick_state,
-              "convention": args.convention, "precision": args.precision}
-    _write_manifest(out, "spectrum", params,
-                    ["eigenphases.csv", "summary.json"])
+    write_manifest(out, "spectrum", _flag_params(args), __version__,
+                   ["eigenphases.csv", "summary.json"])
     print(f"wrote {out / 'eigenphases.csv'} "
           f"(unitarity defect {matrix.unitarity_defect:.2e})")
     return 0
@@ -310,6 +314,8 @@ def cmd_scount(args) -> int:
         xs = default_x_grid(args.x_count, n_min=grid[0], gamma=min(gammas),
                             variant=args.variant)
 
+    # resolved values, not the flags; --threads is left out because the
+    # results do not depend on it
     params = {"command": "scount", "j": args.j, "beta": args.beta,
               "gamma_grid": list(gammas), "x_grid": list(xs),
               "n_grid": grid, "variant": args.variant, "eta": eta,
@@ -344,12 +350,9 @@ def cmd_scount(args) -> int:
     write_csv(out / "cells.csv", ResultTable(
         columns=("x_rad", "gamma", "N", "a_count", "s_count", "lhs", "rhs",
                  "b_inverse", "holds"),
-        units=("radian", "exponent", "count", "count", "count",
-               "dimensionless", "dimensionless", "dimensionless", "bool"),
         rows=tuple(tuple(row) for row in cell_rows)))
     write_csv(out / "labels.csv", ResultTable(
         columns=("x_rad", "gamma", "label", "inside_window"),
-        units=("radian", "exponent", "category", "bool"),
         rows=tuple(tuple(row) for row in label_rows)))
     summary = {
         "eta": eta,
@@ -358,8 +361,8 @@ def cmd_scount(args) -> int:
                    for row in label_rows},
     }
     write_json(out / "summary.json", summary)
-    _write_manifest(out, "scount", params,
-                    ["cells.csv", "labels.csv", "summary.json"])
+    write_manifest(out, "scount", params, __version__,
+                   ["cells.csv", "labels.csv", "summary.json"])
     print(f"wrote {out / 'cells.csv'} ({len(cell_rows)} cells)")
     return 0
 
@@ -389,7 +392,6 @@ def cmd_dynamics(args) -> int:
     out = Path(args.out)
     write_csv(out / "dynamics.csv", ResultTable(
         columns=("n", "survival", "energy", "running_cesaro"),
-        units=("kick", "probability", "energy", "probability"),
         rows=tuple(rows)))
     summary = {
         "kicks": args.kicks,
@@ -402,12 +404,8 @@ def cmd_dynamics(args) -> int:
         summary["point_mass_sum"] = mass
         summary["wiener_gap"] = abs(mean - mass)
     write_json(out / "summary.json", summary)
-    params = {"command": "dynamics", "beta": args.beta, "hbar": args.hbar,
-              "period": args.period, "rank": args.rank, "gamma": args.gamma,
-              "lambdas": args.lambdas, "dim": args.dim, "kicks": args.kicks,
-              "kick_state": args.kick_state, "state_index": args.state_index,
-              "precision": args.precision}
-    _write_manifest(out, "dynamics", params, ["dynamics.csv", "summary.json"])
+    write_manifest(out, "dynamics", _flag_params(args), __version__,
+                   ["dynamics.csv", "summary.json"])
     print(f"wrote {out / 'dynamics.csv'}")
     return 0
 
@@ -448,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--n-grid", default="1e2:1e5:4")
     p.add_argument("--h-max", type=_positive_int, default=4)
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=_finite_at_least(0.0), default=0.01)
     common(p, "runs/weyl")
     p.set_defaults(func=cmd_weyl)
 
@@ -492,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", default="1e3:1e5:3")
     p.add_argument("--variant", default="combescure",
                    choices=("combescure", "bourget"))
-    p.add_argument("--eta", type=float, default=None,
+    p.add_argument("--eta", type=_finite_at_least(1.0), default=None,
                    help="irrationality type for the window annotation "
                         "(default: estimated from beta)")
     p.add_argument("--threads", type=_positive_int, default=1,

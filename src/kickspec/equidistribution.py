@@ -24,6 +24,7 @@ from .errors import OracleSizeError
 from .rationals import UNIT_SCALE, RationalApprox, polynomial_fractional_parts
 
 __all__ = [
+    "ET_SIZE_FLOOR",
     "MAX_ET_PRODUCTS",
     "SequenceSpec",
     "WeylSum",
@@ -42,10 +43,14 @@ __all__ = [
 ]
 
 #: Most harmonic-times-point products the Erdos-Turan bounds of one run may
-#: take (m times the summed grid sizes); about 1.2 s at 0.8-1.2 ns per
-#: product on 2 shared vCPUs with one BLAS thread.  A grid of a few points
-#: costs about 45 us per band of 64 harmonics instead, whatever its size.
+#: take: m times the summed grid sizes, each size counted as at least
+#: ``ET_SIZE_FLOOR`` points.  About 2.5 s at 2.2-2.7 ns per product (m of
+#: 1e3 and more, 2 shared vCPUs, one BLAS thread).
 MAX_ET_PRODUCTS = 10**9
+#: A harmonic costs 0.7-1.0 us per grid size however few points the size
+#: holds, as much as about 300 products, so a size counts as at least this
+#: many points against ``MAX_ET_PRODUCTS``.
+ET_SIZE_FLOOR = 256
 # Points per block and harmonics per band of ``erdos_turan_bounds``.
 _ET_BLOCK = 8192
 _ET_BAND = 64
@@ -65,7 +70,6 @@ class SequenceSpec:
 
     j: int
     beta: RationalApprox
-    label: str = ""
 
     def __post_init__(self):
         if self.j < 1:
@@ -88,7 +92,6 @@ class DiscrepancyReport:
     n_points: int
     d_n: float
     et_bound: float | None = None
-    m_used: int | None = None
 
     def __post_init__(self):
         if self.n_points < 1:

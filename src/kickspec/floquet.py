@@ -98,7 +98,6 @@ class FloquetMatrix:
     dim: int
     u: np.ndarray
     kick_phases: tuple[float, ...]
-    convention: Convention
     spectrum: BaseSpectrum
     ensemble: KickEnsemble
     theta: ThetaSequence
@@ -216,8 +215,7 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
         raise ToleranceError(
             f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL * dim:.3e}")
     return FloquetMatrix(dim=dim, u=u_diag, kick_phases=kick_phases,
-                         convention=convention, spectrum=spec,
-                         ensemble=truncated, theta=theta,
+                         spectrum=spec, ensemble=truncated, theta=theta,
                          unitarity_defect=defect)
 
 

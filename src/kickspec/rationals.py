@@ -64,15 +64,10 @@ _LIMB_MASK = np.uint64(0xFFFFFFFF)
 
 @dataclass(frozen=True)
 class RationalApprox:
-    """A reduced fraction standing in for a (possibly irrational) real.
-
-    ``source_depth`` records how many continued-fraction terms produced it,
-    zero for exact rationals.
-    """
+    """A reduced fraction standing in for a (possibly irrational) real."""
 
     numerator: int
     denominator: int
-    source_depth: int = 0
 
     def __post_init__(self):
         if self.denominator == 0:
@@ -88,8 +83,8 @@ class RationalApprox:
         object.__setattr__(self, "denominator", den)
 
     @classmethod
-    def from_fraction(cls, value: Fraction, source_depth: int = 0) -> "RationalApprox":
-        return cls(value.numerator, value.denominator, source_depth)
+    def from_fraction(cls, value: Fraction) -> "RationalApprox":
+        return cls(value.numerator, value.denominator)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -163,12 +158,12 @@ def continued_fraction(x: Real, depth: int) -> ContinuedFraction:
     p_prev, q_prev = 0, 1  # p_{-2}, q_{-2}
     p_cur, q_cur = 1, 0  # p_{-1}, q_{-1}
     terminated = False
-    for k in range(depth):
+    for _ in range(depth):
         a = r.numerator // r.denominator
         quotients.append(a)
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        convergents.append(RationalApprox(p_cur, q_cur, source_depth=k + 1))
+        convergents.append(RationalApprox(p_cur, q_cur))
         rem = r - a
         if rem == 0:
             terminated = True
@@ -188,7 +183,6 @@ class TypeEstimate:
 
     eta_hat: float
     witness_q: int
-    q_max: int
 
 
 def irrational_type_estimate(x: Real, q_max: int) -> TypeEstimate:
@@ -227,7 +221,7 @@ def irrational_type_estimate(x: Real, q_max: int) -> TypeEstimate:
         raise PrecisionError("exact rational hit inside the search bound")
     log_dist = math.log(dist.numerator) - math.log(dist.denominator)
     eta_hat = -log_dist / math.log(q)
-    return TypeEstimate(eta_hat=eta_hat, witness_q=q, q_max=q_max)
+    return TypeEstimate(eta_hat=eta_hat, witness_q=q)
 
 
 def golden_ratio(depth: int = 200) -> RationalApprox:
@@ -236,7 +230,7 @@ def golden_ratio(depth: int = 200) -> RationalApprox:
     for _ in range(depth):
         p_prev, p_cur = p_cur, p_cur + p_prev
         q_prev, q_cur = q_cur, q_cur + q_prev
-    return RationalApprox(p_cur, q_cur, source_depth=depth)
+    return RationalApprox(p_cur, q_cur)
 
 
 def sqrt_two(depth: int = 200) -> RationalApprox:
@@ -246,13 +240,13 @@ def sqrt_two(depth: int = 200) -> RationalApprox:
     for _ in range(depth - 1):
         p_prev, p_cur = p_cur, 2 * p_cur + p_prev
         q_prev, q_cur = q_cur, 2 * q_cur + q_prev
-    return RationalApprox(p_cur, q_cur, source_depth=depth)
+    return RationalApprox(p_cur, q_cur)
 
 
 def liouville_number(terms: int = 4) -> RationalApprox:
     """Truncation of the classic fast-approximable sum 10**(-k!), k = 1..terms."""
     total = sum(Fraction(1, 10 ** math.factorial(k)) for k in range(1, terms + 1))
-    return RationalApprox.from_fraction(total, source_depth=terms)
+    return RationalApprox.from_fraction(total)
 
 
 def integer_polynomial(coeffs: Sequence[Real]) -> tuple[list[int], int]:

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Sequence
 
 __all__ = [
     "ResultTable",
-    "RunManifest",
+    "write_manifest",
     "canonical_params",
     "manifest_hash",
     "atomic_write_text",
@@ -41,15 +41,12 @@ def _format_value(value: Any) -> str:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Homogeneous typed rows with one unit label per column."""
+    """Named columns over rows of equal arity with no missing cells."""
 
     columns: tuple[str, ...]
-    units: tuple[str, ...]
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
-        if len(self.columns) != len(self.units):
-            raise ValueError("need exactly one unit per column")
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("row arity does not match the column count")
@@ -114,37 +111,23 @@ def manifest_hash(params: dict[str, Any]) -> str:
     return hashlib.sha256(canonical_params(params).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced the files sitting next to this manifest."""
+def write_manifest(directory: Path, command: str, params: dict[str, Any],
+                   version: str, outputs: Iterable[str]) -> Path:
+    """Write ``manifest.json``: what produced the files sitting next to it.
 
-    command: str
-    params: dict[str, Any]
-    hash: str
-    version: str
-    timestamp: str
-    outputs: tuple[str, ...]
-
-    @classmethod
-    def create(cls, command: str, params: dict[str, Any], version: str,
-               outputs: Iterable[str]) -> "RunManifest":
-        return cls(command=command, params=dict(params),
-                   hash=manifest_hash(params), version=version,
-                   timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                   outputs=tuple(outputs))
-
-    def write(self, directory: Path) -> Path:
-        path = Path(directory) / "manifest.json"
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "hash": self.hash,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "outputs": list(self.outputs),
-        }
-        write_json(path, payload)
-        return path
+    The hash covers ``params`` only, so reruns with equal parameters carry
+    equal hashes whatever their timestamps.
+    """
+    path = Path(directory) / "manifest.json"
+    write_json(path, {
+        "command": command,
+        "params": params,
+        "hash": manifest_hash(params),
+        "version": version,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "outputs": list(outputs),
+    })
+    return path
 
 
 class CellCache:

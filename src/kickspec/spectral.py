@@ -132,7 +132,6 @@ class ThetaSequence:
     """
 
     unit_values: np.ndarray
-    source: BaseSpectrum
 
     def __post_init__(self):
         unit = np.asarray(self.unit_values, dtype=np.float64)
@@ -161,7 +160,7 @@ def theta_sequence(spec: BaseSpectrum, n_terms: int) -> ThetaSequence:
         raise ValueError("n_terms must be at least 1")
     coeffs = [spec.period * b for b in spec.beta]
     unit = polynomial_fractional_parts(coeffs, n_terms, start=0)
-    return ThetaSequence(unit_values=unit, source=spec)
+    return ThetaSequence(unit_values=unit)
 
 
 def circle_distance(x: float, angles: np.ndarray) -> np.ndarray:

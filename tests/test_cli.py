@@ -13,13 +13,15 @@ import pytest
 import kickspec
 from kickspec import errors
 from kickspec.cli import main, parse_beta_spec, parse_size_grid
+from kickspec.counting import default_x_grid
 from kickspec.equidistribution import (
     SequenceSpec,
     discrepancy_exact,
     erdos_turan_bound,
     sequence_points,
 )
-from kickspec.rationals import golden_ratio
+from kickspec.rationals import golden_ratio, irrational_type_estimate
+from kickspec.runio import manifest_hash
 
 
 def read_csv(path):
@@ -134,6 +136,38 @@ class TestExitCodes:
         assert code == 3
         assert "exceed the limit" in capsys.readouterr().err
         assert not (tmp_path / "discrepancy.csv").exists()
+
+    def test_erdos_turan_size_floor(self, tmp_path, monkeypatch, capsys):
+        import kickspec.cli as cli_mod
+
+        # a one-point grid pays per harmonic as if it held ET_SIZE_FLOOR
+        # points, so 1e9 harmonics are refused instead of running minutes
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "sequence_points", None)
+            start = time.perf_counter()
+            code = main(["discrepancy", "--beta", "golden", "--n-grid", "1",
+                         "--m", "1000000000", "--out", str(tmp_path / "big")])
+            elapsed = time.perf_counter() - start
+        assert code == 3
+        assert "exceed the limit" in capsys.readouterr().err
+        assert elapsed < 1.0
+        assert not any(tmp_path.iterdir())
+        assert main(["discrepancy", "--beta", "golden", "--n-grid", "1,2,3",
+                     "--m", "10000", "--out", str(tmp_path / "small")]) == 0
+
+    # --epsilon must be finite and >= 0, --eta finite and >= 1
+    @pytest.mark.parametrize("argv", [
+        *(["weyl", "--n-grid", "1e2:1e5:3", "--epsilon", value]
+          for value in ("-0.5", "nan", "inf", "abc")),
+        *(["scount", "--n-grid", "1e3:1e4:2", "--x-count", "2", "--eta", value]
+          for value in ("-0.5", "nan", "inf", "abc", "0.5")),
+    ], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
+    def test_exponent_flags_checked_at_parse(self, argv, tmp_path, capsys):
+        code = main([argv[0], "--beta", "golden", *argv[1:],
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert argv[-2] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_anchor_work_limit(self, tmp_path, capsys):
         # degree 40 leaves blocks of 2 points: 5e4 anchors of 41**2 products
@@ -446,6 +480,56 @@ class TestDynamicsCommand:
         rows = read_csv(out / "dynamics.csv")
         survival = [float(r[1]) for r in rows[1:]]
         assert survival == pytest.approx([1.0] * 65, abs=1e-10)
+
+
+# The README examples and the parameters each manifest must record: every
+# flag but --out.  scount records the resolved eta, x grid, gamma grid and
+# n grid in place of --eta, --x-count, --gamma and --n-grid, and never
+# --threads.
+_SPECTRUM_PARAMS = {"beta": "golden", "hbar": 1.0, "period": "1", "rank": 1,
+                    "gamma": 0.75, "lambdas": "1.0", "kick_state": "power",
+                    "precision": None}
+README_RUNS = {
+    "discrepancy": (
+        ["--j", "1", "--beta", "golden", "--n-grid", "1e3:1e6:4", "--m", "64"],
+        {"command": "discrepancy", "j": 1, "beta": "golden",
+         "n_grid": "1e3:1e6:4", "m": 64, "precision": None}),
+    "weyl": (
+        ["--j", "2", "--beta", "sqrt2", "--n-grid", "1e2:1e5:4",
+         "--h-max", "4"],
+        {"command": "weyl", "j": 2, "beta": "sqrt2", "n_grid": "1e2:1e5:4",
+         "h_max": 4, "epsilon": 0.01, "precision": None}),
+    "spectrum": (
+        ["--beta", "golden", "--rank", "1", "--gamma", "0.75",
+         "--lambdas", "1.0", "--dim", "64"],
+        {"command": "spectrum", **_SPECTRUM_PARAMS, "dim": 64,
+         "convention": "additive_r_k"}),
+    "scount": (
+        ["--j", "1", "--beta", "golden", "--gamma-grid", "0.6,0.75",
+         "--n-grid", "1e3:1e5:3", "--x-count", "5", "--threads", "4"],
+        {"command": "scount", "j": 1, "beta": "golden",
+         "gamma_grid": [0.6, 0.75],
+         "x_grid": list(default_x_grid(5, n_min=1000, gamma=0.6,
+                                       variant="combescure")),
+         "n_grid": [1000, 10_000, 100_000], "variant": "combescure",
+         "eta": irrational_type_estimate(golden_ratio(200), 10_000).eta_hat,
+         "precision": None}),
+    "dynamics": (
+        ["--beta", "golden", "--rank", "1", "--dim", "128",
+         "--kicks", "10000"],
+        {"command": "dynamics", **_SPECTRUM_PARAMS, "dim": 128,
+         "kicks": 10000, "state_index": 0}),
+}
+
+
+class TestManifestParams:
+    @pytest.mark.parametrize("command", list(README_RUNS))
+    def test_readme_run_params(self, command, tmp_path):
+        flags, expected = README_RUNS[command]
+        assert main([command, *flags, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["params"] == expected
+        assert manifest["hash"] == manifest_hash(expected)
 
 
 class TestDeterminism:

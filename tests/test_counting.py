@@ -101,8 +101,7 @@ class TestCountSetS:
         coeffs[1] = math.sqrt(1 - 0.25)
         state = KickState(coefficients=coeffs)
         theta = ThetaSequence(
-            unit_values=np.array([0.9, 0.55, 0.9, 2.0 / TWO_PI, 0.9]),
-            source=BaseSpectrum.harmonic(Fraction(1, 3)))
+            unit_values=np.array([0.9, 0.55, 0.9, 2.0 / TWO_PI, 0.9]))
         # index 3: |x - 2.0| = 0.3 <= 0.5 counts; index 1 is far
         assert count_set_S(2.3, state, theta, 5) == 1
 

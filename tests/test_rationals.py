@@ -123,6 +123,11 @@ class TestRationalApprox:
         f = Fraction(355, 113)
         assert RationalApprox.from_fraction(f).as_fraction() == f
 
+    def test_equality_compares_values(self):
+        last = continued_fraction(golden_ratio(10), 10).convergents[-1]
+        assert last == RationalApprox(last.numerator, last.denominator)
+        assert last == golden_ratio(10)
+
 
 class TestContinuedFraction:
     def test_golden_all_ones(self):

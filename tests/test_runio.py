@@ -5,56 +5,51 @@ import pytest
 from kickspec.runio import (
     CellCache,
     ResultTable,
-    RunManifest,
     atomic_write_text,
     canonical_params,
     manifest_hash,
     write_csv,
+    write_manifest,
 )
 
 
 class TestResultTable:
     def test_arity_checked(self):
         with pytest.raises(ValueError):
-            ResultTable(columns=("a", "b"), units=("x",), rows=())
-        with pytest.raises(ValueError):
-            ResultTable(columns=("a", "b"), units=("x", "y"),
-                        rows=((1.0,),))
+            ResultTable(columns=("a", "b"), rows=((1.0,),))
 
     def test_missing_cells_rejected(self):
         with pytest.raises(ValueError):
-            ResultTable(columns=("a",), units=("x",), rows=((None,),))
+            ResultTable(columns=("a",), rows=((None,),))
 
     def test_len(self):
-        t = ResultTable(columns=("a",), units=("x",), rows=((1,), (2,)))
+        t = ResultTable(columns=("a",), rows=((1,), (2,)))
         assert len(t) == 2
 
 
 class TestCsv:
     def test_roundtrip_precision(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004
-        table = ResultTable(columns=("v",), units=("x",), rows=((value,),))
+        table = ResultTable(columns=("v",), rows=((value,),))
         path = tmp_path / "t.csv"
         write_csv(path, table)
         text = path.read_text().splitlines()
         assert float(text[1]) == value
 
     def test_quoting(self, tmp_path):
-        table = ResultTable(columns=("label",), units=("text",),
-                            rows=(("a,b",),))
+        table = ResultTable(columns=("label",), rows=(("a,b",),))
         path = tmp_path / "t.csv"
         write_csv(path, table)
         assert '"a,b"' in path.read_text()
 
     def test_footer_rows(self, tmp_path):
-        table = ResultTable(columns=("n", "v"), units=("c", "x"),
-                            rows=((1, 2.0),))
+        table = ResultTable(columns=("n", "v"), rows=((1, 2.0),))
         path = tmp_path / "t.csv"
         write_csv(path, table, footer=[("slope", -1.0)])
         assert path.read_text().splitlines()[-1] == "slope,-1.0"
 
     def test_byte_identical_rewrites(self, tmp_path):
-        table = ResultTable(columns=("n", "v"), units=("c", "x"),
+        table = ResultTable(columns=("n", "v"),
                             rows=tuple((i, i / 7.0) for i in range(50)))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(a, table)
@@ -73,9 +68,8 @@ class TestManifest:
         assert canonical_params({"b": 2, "a": 1}) == '{"a":1,"b":2}'
 
     def test_write_and_reload(self, tmp_path):
-        manifest = RunManifest.create("demo", {"x": 1}, "0.1.0",
-                                      ["out.csv"])
-        path = manifest.write(tmp_path)
+        path = write_manifest(tmp_path, "demo", {"x": 1}, "0.1.0",
+                              ["out.csv"])
         data = json.loads(path.read_text())
         assert data["command"] == "demo"
         assert data["hash"] == manifest_hash({"x": 1})

@@ -351,14 +351,12 @@ class TestEnsemble:
 class TestBInverse:
     def test_single_term(self):
         state = KickState(coefficients=np.array([1.0 + 0j]))
-        theta = ThetaSequence(unit_values=np.array([0.0]),
-                              source=BaseSpectrum.harmonic(Fraction(1, 3)))
+        theta = ThetaSequence(unit_values=np.array([0.0]))
         assert b_inverse_partial(math.pi, state, theta, 1) == pytest.approx(1.0)
 
     def test_pole_marker(self):
         state = KickState(coefficients=np.array([1.0 + 0j]))
-        theta = ThetaSequence(unit_values=np.array([0.0]),
-                              source=BaseSpectrum.harmonic(Fraction(1, 3)))
+        theta = ThetaSequence(unit_values=np.array([0.0]))
         result = b_inverse_partial(0.0, state, theta, 1)
         assert isinstance(result, Divergent)
         assert result.pole_index == 0
@@ -436,8 +434,7 @@ class TestCotangentResidual:
 
     def test_single_level_root_at_shifted_phase(self):
         state = KickState(coefficients=np.array([1.0 + 0j]))
-        theta = ThetaSequence(unit_values=np.array([0.0]),
-                              source=BaseSpectrum.harmonic(Fraction(1, 3)))
+        theta = ThetaSequence(unit_values=np.array([0.0]))
         lam = 1.234
         assert cotangent_residual(lam, state, theta, lam) == pytest.approx(0.0)
 
