@@ -37,6 +37,7 @@ from .equidistribution import (
 )
 from .errors import ResourceLimitError, ToleranceError
 from .floquet import (
+    MAX_DIM,
     build_floquet,
     eigen_decompose,
     evolve,
@@ -168,6 +169,9 @@ def _spectrum_from_args(args) -> BaseSpectrum:
 
 
 def _ensemble_from_args(args, dim: int) -> KickEnsemble:
+    # before any state is built: the states have dim entries each
+    if dim > MAX_DIM:
+        raise ResourceLimitError(f"dim = {dim} exceeds the dense limit {MAX_DIM}")
     strengths = parse_float_list(args.lambdas) if args.rank else ()
     if args.rank and len(strengths) != args.rank:
         raise ValueError(f"need exactly {args.rank} values in --lambdas")
@@ -260,7 +264,7 @@ def cmd_weyl(args) -> int:
 def cmd_spectrum(args) -> int:
     spec = _spectrum_from_args(args)
     ensemble = _ensemble_from_args(args, args.dim)
-    matrix = build_floquet(spec, ensemble, args.dim, args.convention)
+    matrix = build_floquet(spec, ensemble, args.dim)
     decomposition = eigen_decompose(matrix)
     k_count = len(matrix.ensemble)
     columns = ["index", "eigenphase_rad"] + [f"weight_{k}" for k in range(k_count)]
@@ -273,10 +277,9 @@ def cmd_spectrum(args) -> int:
               ResultTable(columns=tuple(columns), rows=tuple(rows)))
     summary = {
         "dim": args.dim,
-        "convention": args.convention,
         "unitarity_defect": matrix.unitarity_defect,
-        "trace_norms": [perturbation_trace_norm(s / spec.hbar)
-                        for s in matrix.ensemble.strengths],
+        "trace_norms": [perturbation_trace_norm(phase)
+                        for phase in matrix.kick_phases],
         "weight_sums": [float(decomposition.weights[k].sum())
                         for k in range(k_count)],
     }
@@ -298,8 +301,7 @@ def cmd_spectrum(args) -> int:
 def cmd_scount(args) -> int:
     beta = parse_beta_spec(args.beta, args.precision)
     grid = parse_size_grid(args.n_grid)
-    gammas = parse_float_list(args.gamma_grid) if args.gamma_grid \
-        else (args.gamma,)
+    gammas = parse_float_list(args.gamma_grid)
     for gamma in gammas:
         if not 0.5 < gamma <= 1.0:
             raise ValueError(f"gamma = {gamma} outside (1/2, 1]")
@@ -461,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of kick states (0 = no kick)")
         p.add_argument("--gamma", type=float, default=0.75)
         p.add_argument("--lambdas", default="1.0",
-                       help="comma list of kick strengths, one per rank")
+                       help="comma list of signed kick strengths, one per "
+                            "rank; a list that starts with a negative value "
+                            "takes the form --lambdas=-1.0,2.0")
         p.add_argument("--dim", type=int, default=64)
         p.add_argument("--kick-state", default="power",
                        choices=("power", "uniform"),
@@ -471,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum",
                        help="eigenphases and spectral weights of the kicked operator")
     spectrum_flags(p)
-    p.add_argument("--convention", default="additive_r_k",
-                   choices=("additive_r_k", "exponential_product"))
     common(p, "runs/spectrum")
     p.set_defaults(func=cmd_spectrum)
 
@@ -480,9 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interval and S(x) counting sweeps with growth labels")
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--beta", required=True)
-    p.add_argument("--gamma", type=float, default=0.75)
-    p.add_argument("--gamma-grid", default=None,
-                   help="comma list of exponents (overrides --gamma)")
+    p.add_argument("--gamma-grid", default="0.75",
+                   help="comma list of exponents (default %(default)s)")
     p.add_argument("--x-grid", default=None,
                    help="comma list of x values in radians")
     p.add_argument("--x-count", type=int, default=5,

@@ -448,16 +448,15 @@ def gamma_sweep(j: int, eta_estimate: float, beta: RationalApprox,
                   variant, threads, window=gamma_window(j, eta_estimate))
 
 
-def default_x_grid(count: int, n_min: int | None = None,
-                   gamma: float | None = None,
+def default_x_grid(count: int, n_min: int, gamma: float,
                    variant: Variant = "combescure") -> tuple[float, ...]:
     """Deterministic pole-avoiding evaluation points x = 2*pi*{m*(phi-1) + 1/7}.
 
     The golden rotation never lands on the rational test sequences' phases,
-    and the 1/7 offset keeps it off the golden sequences themselves.  When
-    n_min and gamma are given, values whose interval would spill outside
-    [0, 1) at the smallest grid size are skipped.  More than MAX_X_COUNT
-    values raise ResourceLimitError before any candidate is tried.
+    and the 1/7 offset keeps it off the golden sequences themselves.  Values
+    whose interval at size n_min and exponent gamma would spill outside
+    [0, 1) are skipped.  More than MAX_X_COUNT values raise
+    ResourceLimitError before any candidate is tried.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -473,10 +472,9 @@ def default_x_grid(count: int, n_min: int | None = None,
         m += 1
         if m > 1000 * count:
             raise ValueError("could not build a fitting x grid")
-        if n_min is not None and gamma is not None:
-            try:
-                make_interval(x, n_min, gamma, variant)
-            except IntervalRangeError:
-                continue
+        try:
+            make_interval(x, n_min, gamma, variant)
+        except IntervalRangeError:
+            continue
         xs.append(x)
     return tuple(xs)

@@ -7,12 +7,11 @@ U the diagonal unperturbed evolution.  Each R_k has a single nonzero singular
 value |e^{i lambda_k/hbar} - 1| = sqrt(2(1 - cos lambda_k/hbar)), so the
 perturbation is trace class with an explicitly checkable norm.
 
-Two conventions are kept behind a flag: ``additive_r_k`` is the sum form
-above; ``exponential_product`` multiplies the kick factor with the opposite
-sign of lambda, so V_additive(lambda) = V_product(-lambda) entrywise.  The
-sign ambiguity between the two is inherent to the kicked-evolution
-literature; the additive form is the default because the trace-class
-computation is stated in it.
+The kick factor is always e^{+i lambda_k/hbar}: the sign of the physics
+lives in the signed strengths lambda_k alone.  The product form
+exp(-i lambda P/hbar) U used elsewhere in the kicked-evolution literature is
+the same operator at lambda -> -lambda, since exp(-i lambda P/hbar) =
+I + (e^{-i lambda/hbar} - 1) P for a projector P.
 
 Nothing here factorises a dense matrix.  When the kick states have pairwise
 disjoint supports, V is a direct sum of rank-1 problems plus untouched basis
@@ -31,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -81,7 +79,6 @@ _MAX_ITERATIONS = 100
 _TILE_ELEMENTS = 1 << 16
 # Complex elements per block of recorded states in evolve (4 MB).
 _RECORD_ELEMENTS = 1 << 18
-Convention = Literal["additive_r_k", "exponential_product"]
 
 
 # Dataclasses holding arrays take eq=False and so compare and hash by
@@ -90,23 +87,31 @@ Convention = Literal["additive_r_k", "exponential_product"]
 class FloquetMatrix:
     """Truncated Floquet operator V = (I + sum_k mu_k P_k) U by its parts.
 
-    ``u`` is the diagonal of U, ``kick_phases[k]`` the signed lambda_k/hbar
-    of the convention and ``ensemble`` holds the states truncated to ``dim``.
-    ``entries`` assembles the dense matrix on first access.
+    ``ensemble`` holds the kick states truncated to ``dim`` = len(theta).
+    Everything else is derived: ``u`` = e^{i theta}, ``kick_phases[k]`` =
+    lambda_k/hbar, ``mu`` and, on first access, the dense ``entries``.
     """
 
-    dim: int
-    u: np.ndarray
-    kick_phases: tuple[float, ...]
     spectrum: BaseSpectrum
     ensemble: KickEnsemble
     theta: ThetaSequence
     unitarity_defect: float
 
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.complex128)
+    @property
+    def dim(self) -> int:
+        return len(self.theta)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The diagonal e^{i theta_n} of U, read-only."""
+        u = np.exp(1j * self.theta.values)
         u.setflags(write=False)
-        object.__setattr__(self, "u", u)
+        return u
+
+    @property
+    def kick_phases(self) -> tuple[float, ...]:
+        """The signed kick phases lambda_k/hbar."""
+        return tuple(s / self.spectrum.hbar for s in self.ensemble.strengths)
 
     @property
     def mu(self) -> np.ndarray:
@@ -160,13 +165,13 @@ def perturbation_trace_norm(lambda_over_hbar: float) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - math.cos(lambda_over_hbar))))
 
 
-def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
-                  convention: Convention = "additive_r_k") -> FloquetMatrix:
+def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble,
+                  dim: int) -> FloquetMatrix:
     """Assemble the dim-truncated Floquet operator V for the given kicks.
 
     U = diag(e^{i theta_n}) carries the unperturbed eigenphases; the kick
-    factor is I + sum_k (e^{+-i lambda_k/hbar} - 1) P_k applied from the
-    left, with + for the additive convention and - for the product form.
+    factor is I + sum_k (e^{i lambda_k/hbar} - 1) P_k applied from the left.
+    A negative strength gives the product form exp(-i |lambda| P/hbar) U.
     Ensemble states are truncated and renormalised to ``dim`` first; the
     ensemble must stay orthonormal after that cut.
 
@@ -178,26 +183,16 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
         raise ValueError("dim must be at least 2")
     if dim > MAX_DIM:
         raise ResourceLimitError(f"dim = {dim} exceeds the dense limit {MAX_DIM}")
-    if convention not in ("additive_r_k", "exponential_product"):
-        raise ValueError(f"unknown convention {convention!r}")
-    sign = 1.0 if convention == "additive_r_k" else -1.0
-    kick_phases = tuple(sign * strength / spec.hbar
-                        for strength in ensemble.strengths)
+    kick_phases = tuple(s / spec.hbar for s in ensemble.strengths)
     for strength, phase in zip(ensemble.strengths, kick_phases):
         if not math.isfinite(phase):
             raise ValueError(f"kick strength {strength} with hbar {spec.hbar} "
                              "gives a non-finite phase lambda/hbar")
 
     theta = theta_sequence(spec, dim)
-    u_diag = np.exp(1j * theta.values)
-
-    if len(ensemble):
-        truncated = KickEnsemble(
-            states=tuple(truncate_state(s, dim) for s in ensemble.states),
-            strengths=ensemble.strengths,
-        )
-    else:
-        truncated = ensemble
+    truncated = KickEnsemble(
+        states=tuple(truncate_state(s, dim) for s in ensemble.states),
+        strengths=ensemble.strengths)
 
     mu = _kick_factors(kick_phases)
     for strength, mu_k in zip(truncated.strengths, mu):
@@ -214,8 +209,7 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble, dim: int,
     if defect > UNITARITY_TOL * dim:
         raise ToleranceError(
             f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL * dim:.3e}")
-    return FloquetMatrix(dim=dim, u=u_diag, kick_phases=kick_phases,
-                         spectrum=spec, ensemble=truncated, theta=theta,
+    return FloquetMatrix(spectrum=spec, ensemble=truncated, theta=theta,
                          unitarity_defect=defect)
 
 

@@ -73,6 +73,30 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    # the kick states alone would take 16 GB at this dim; patched to raise,
+    # so that a check placed after them fails at once instead of allocating
+    @pytest.mark.parametrize("rank", ["1", "2"])
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    def test_dim_checked_before_states_are_built(self, command, rank,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        import kickspec.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kick states built before the --dim check")
+
+        monkeypatch.setattr(cli_mod, "full_support_state", refuse)
+        monkeypatch.setattr(cli_mod, "orthonormal_ensemble", refuse)
+        start = time.perf_counter()
+        code = main([command, "--beta", "golden", "--rank", rank,
+                     "--lambdas", ",".join(["1.0"] * int(rank)),
+                     "--dim", "1000000000", "--out", str(tmp_path / "run")])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert "exceeds the dense limit" in capsys.readouterr().err
+        assert elapsed < 1.0
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["discrepancy", "--beta", "golden", "--threads", "7"],
         ["weyl", "--beta", "golden", "--threads", "2"],
@@ -208,7 +232,7 @@ class TestExitCodes:
         assert "exceed the limit" in capsys.readouterr().err
 
     def test_gamma_out_of_range(self, tmp_path, capsys):
-        code = main(["scount", "--beta", "golden", "--gamma", "0.4",
+        code = main(["scount", "--beta", "golden", "--gamma-grid", "0.4",
                      "--out", str(tmp_path)])
         assert code == 2
 
@@ -341,14 +365,30 @@ class TestSpectrumCommand:
                           for n in range(8))
         assert phases == pytest.approx(expected, abs=1e-12)
 
-    def test_product_convention_residual_uses_signed_kick(self, tmp_path):
+    def test_negative_strength_residual_uses_signed_kick(self, tmp_path):
         out = tmp_path / "run"
         code = main(["spectrum", "--beta", "golden", "--rank", "1",
-                     "--dim", "32", "--convention", "exponential_product",
-                     "--out", str(out)])
+                     "--dim", "32", "--lambdas=-1.0", "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_secular_residual"] <= 1e-6
+
+    def test_negative_strengths_in_a_comma_list(self, tmp_path, capsys):
+        # a separate "-1.0,2.0" argument reads as a missing value
+        assert main(["spectrum", "--beta", "golden", "--rank", "2",
+                     "--lambdas", "-1.0,2.0", "--dim", "32",
+                     "--out", str(tmp_path / "split")]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+        out = tmp_path / "joined"
+        assert main(["spectrum", "--beta", "golden", "--rank", "2",
+                     "--lambdas=-1.0,2.0", "--dim", "32",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"]["lambdas"] == "-1.0,2.0"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["trace_norms"] == pytest.approx(
+            [math.sqrt(2 - 2 * math.cos(1.0)), math.sqrt(2 - 2 * math.cos(2.0))])
+        assert summary["weight_sums"] == pytest.approx([1.0, 1.0], abs=1e-10)
 
     def test_dense_matrix_never_built(self, tmp_path, monkeypatch):
         from kickspec.floquet import FloquetMatrix
@@ -376,7 +416,7 @@ class TestScountCommand:
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "run"
         code = main(["scount", "--j", "1", "--beta", "golden",
-                     "--gamma", "0.75", "--n-grid", "1e3:1e4:2",
+                     "--gamma-grid", "0.75", "--n-grid", "1e3:1e4:2",
                      "--x-count", "3", "--out", str(out)])
         assert code == 0
         labels = read_csv(out / "labels.csv")
@@ -391,10 +431,24 @@ class TestScountCommand:
         assert set(manifest["outputs"]) == {"cells.csv", "labels.csv",
                                             "summary.json"}
 
+    def test_gamma_grid_default(self, tmp_path):
+        flags = ["scount", "--beta", "golden", "--n-grid", "1e3:1e4:2",
+                 "--x-count", "2"]
+        runs = [tmp_path / "default", tmp_path / "given"]
+        assert main(flags + ["--out", str(runs[0])]) == 0
+        assert main(flags + ["--gamma-grid", "0.75",
+                             "--out", str(runs[1])]) == 0
+        params = [json.loads((out / "manifest.json").read_text())["params"]
+                  for out in runs]
+        assert params[0] == params[1]
+        assert params[0]["gamma_grid"] == [0.75]
+        assert (runs[0] / "cells.csv").read_bytes() == \
+            (runs[1] / "cells.csv").read_bytes()
+
     def test_outside_window_annotation(self, tmp_path):
         out = tmp_path / "run"
         code = main(["scount", "--j", "2", "--beta", "golden",
-                     "--gamma", "0.9", "--eta", "1.0",
+                     "--gamma-grid", "0.9", "--eta", "1.0",
                      "--n-grid", "1e3:1e4:2", "--x-count", "2",
                      "--out", str(out)])
         assert code == 0
@@ -404,7 +458,7 @@ class TestScountCommand:
     def test_bourget_variant(self, tmp_path):
         out = tmp_path / "run"
         code = main(["scount", "--j", "2", "--beta", "golden",
-                     "--gamma", "0.75", "--variant", "bourget",
+                     "--gamma-grid", "0.75", "--variant", "bourget",
                      "--n-grid", "1e3:1e4:2", "--x-count", "2",
                      "--out", str(out)])
         assert code == 0
@@ -414,7 +468,7 @@ class TestScountCommand:
     def test_cache_reuse_is_exact(self, tmp_path):
         out = tmp_path / "run"
         args = ["scount", "--j", "1", "--beta", "golden",
-                "--gamma", "0.75", "--n-grid", "1e3:1e4:2",
+                "--gamma-grid", "0.75", "--n-grid", "1e3:1e4:2",
                 "--x-count", "2", "--out", str(out)]
         assert main(args) == 0
         first = (out / "cells.csv").read_bytes()
@@ -426,7 +480,7 @@ class TestScountCommand:
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         out = tmp_path / "run"
         args = ["scount", "--j", "1", "--beta", "golden",
-                "--gamma", "0.75", "--n-grid", "1e3:1e4:2",
+                "--gamma-grid", "0.75", "--n-grid", "1e3:1e4:2",
                 "--x-count", "2", "--out", str(out)]
         assert main(args) == 0
         first = (out / "cells.csv").read_bytes()
@@ -444,7 +498,7 @@ class TestScountCommand:
 
         out = tmp_path / "run"
         args = ["scount", "--j", "1", "--beta", "golden",
-                "--gamma", "0.75", "--n-grid", "1e3:1e4:2",
+                "--gamma-grid", "0.75", "--n-grid", "1e3:1e4:2",
                 "--x-count", "2", "--out", str(out)]
         assert main(args) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -484,7 +538,7 @@ class TestDynamicsCommand:
 
 # The README examples and the parameters each manifest must record: every
 # flag but --out.  scount records the resolved eta, x grid, gamma grid and
-# n grid in place of --eta, --x-count, --gamma and --n-grid, and never
+# n grid in place of --eta, --x-count, --gamma-grid and --n-grid, and never
 # --threads.
 _SPECTRUM_PARAMS = {"beta": "golden", "hbar": 1.0, "period": "1", "rank": 1,
                     "gamma": 0.75, "lambdas": "1.0", "kick_state": "power",
@@ -502,8 +556,7 @@ README_RUNS = {
     "spectrum": (
         ["--beta", "golden", "--rank", "1", "--gamma", "0.75",
          "--lambdas", "1.0", "--dim", "64"],
-        {"command": "spectrum", **_SPECTRUM_PARAMS, "dim": 64,
-         "convention": "additive_r_k"}),
+        {"command": "spectrum", **_SPECTRUM_PARAMS, "dim": 64}),
     "scount": (
         ["--j", "1", "--beta", "golden", "--gamma-grid", "0.6,0.75",
          "--n-grid", "1e3:1e5:3", "--x-count", "5", "--threads", "4"],
@@ -534,7 +587,8 @@ class TestManifestParams:
 
 class TestDeterminism:
     def test_threads_byte_identical(self, tmp_path):
-        base = ["scount", "--j", "1", "--beta", "golden", "--gamma", "0.75",
+        base = ["scount", "--j", "1", "--beta", "golden",
+                "--gamma-grid", "0.75",
                 "--n-grid", "1e3:1e4:2", "--x-count", "4"]
         out1, out8 = tmp_path / "t1", tmp_path / "t8"
         assert main(base + ["--threads", "1", "--out", str(out1)]) == 0

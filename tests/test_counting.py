@@ -384,16 +384,6 @@ class TestDivergenceScan:
             assert cell.report.lhs <= cell.report.rhs * (1 + 1e-9) + 1e-9
 
 
-class TestDefaultXGrid:
-    def test_count_limit(self, monkeypatch):
-        assert len(default_x_grid(counting_mod.MAX_X_COUNT)) == \
-            counting_mod.MAX_X_COUNT
-        monkeypatch.setattr(counting_mod, "make_interval", None)
-        with pytest.raises(ResourceLimitError):
-            default_x_grid(counting_mod.MAX_X_COUNT + 1, n_min=1000,
-                           gamma=0.75)
-
-
 class TestGammaSweep:
     def test_window_annotation(self):
         sweep = gamma_sweep(2, 1.0, GOLDEN, [0.6, 0.9],
@@ -500,8 +490,8 @@ class TestThetaSequenceBridge:
 
 class TestDefaultXGrid:
     def test_deterministic_and_pole_free(self):
-        xs1 = default_x_grid(5)
-        xs2 = default_x_grid(5)
+        xs1 = default_x_grid(5, n_min=1000, gamma=0.75)
+        xs2 = default_x_grid(5, n_min=1000, gamma=0.75)
         assert xs1 == xs2
         assert all(0.0 < x < TWO_PI for x in xs1)
 
@@ -510,5 +500,28 @@ class TestDefaultXGrid:
         for x in xs:
             make_interval(x, 1000, 0.6)  # must not raise
 
+    @pytest.mark.parametrize("variant", ["combescure", "bourget"])
+    @pytest.mark.parametrize("n_min, gamma", [(10, 0.6), (30, 0.55),
+                                              (100, 0.75), (1000, 0.6)])
+    def test_never_spills(self, n_min, gamma, variant):
+        # wide intervals (small n_min and gamma) make the filter skip up to
+        # 5 in 6 candidates
+        xs = default_x_grid(40, n_min=n_min, gamma=gamma, variant=variant)
+        assert len(xs) == 40
+        for x in xs:
+            make_interval(x, n_min, gamma, variant)  # must not raise
+
+    def test_spill_filter_is_required(self):
+        with pytest.raises(TypeError):
+            default_x_grid(5, n_min=1000)
+
     def test_count_respected(self):
-        assert len(default_x_grid(7)) == 7
+        assert len(default_x_grid(7, n_min=1000, gamma=0.75)) == 7
+
+    def test_count_limit(self, monkeypatch):
+        assert len(default_x_grid(counting_mod.MAX_X_COUNT, n_min=1000,
+                                  gamma=0.75)) == counting_mod.MAX_X_COUNT
+        monkeypatch.setattr(counting_mod, "make_interval", None)
+        with pytest.raises(ResourceLimitError):
+            default_x_grid(counting_mod.MAX_X_COUNT + 1, n_min=1000,
+                           gamma=0.75)

@@ -74,19 +74,30 @@ class TestBuildFloquet:
         v = build_floquet(HARMONIC, ens, 64)
         assert v.unitarity_defect <= 1e-12
 
-    def test_convention_sign_flip(self):
+    def test_negative_strength_is_product_form(self):
+        # exp(-i lam P) U = (I + (e^{-i lam} - 1) P) U for a projector P
         lam = 0.83
-        ens_pos = rank1_full(16, strength=lam)
-        ens_neg = rank1_full(16, strength=-lam)
-        additive = build_floquet(HARMONIC, ens_pos, 16, "additive_r_k")
-        product = build_floquet(HARMONIC, ens_neg, 16, "exponential_product")
-        assert np.max(np.abs(additive.entries - product.entries)) <= 1e-10
+        ens = rank1_full(16, strength=-lam)
+        v = build_floquet(HARMONIC, ens, 16)
+        psi = ens.states[0].coefficients
+        u = np.diag(np.exp(1j * theta_sequence(HARMONIC, 16).values))
+        product = (np.eye(16) + (np.exp(-1j * lam) - 1.0)
+                   * np.outer(psi, psi.conj())) @ u
+        assert np.max(np.abs(v.entries - product)) <= 1e-12
+        assert v.kick_phases == (-lam,)
 
-    def test_conventions_agree_for_empty_ensemble(self):
-        empty = KickEnsemble(states=(), strengths=())
-        a = build_floquet(HARMONIC, empty, 8, "additive_r_k")
-        b = build_floquet(HARMONIC, empty, 8, "exponential_product")
-        assert np.array_equal(a.entries, b.entries)
+    def test_stores_only_underivable_parts(self):
+        import dataclasses
+
+        spec = BaseSpectrum.harmonic(GOLDEN, hbar=0.5)
+        ens = orthonormal_ensemble(0.75, 2, 16, [1.0, -0.7])
+        v = build_floquet(spec, ens, 16)
+        assert [f.name for f in dataclasses.fields(v)] == \
+            ["spectrum", "ensemble", "theta", "unitarity_defect"]
+        assert v.dim == len(v.theta) == 16
+        assert v.kick_phases == (2.0, -1.4)
+        assert np.array_equal(v.u, np.exp(1j * v.theta.values))
+        assert v.u is v.u and not v.u.flags.writeable
 
     def test_matches_direct_sum_of_r_k(self):
         # V = U + sum_k (e^{i lam_k} - 1) |psi_k><psi_k| U, assembled naively

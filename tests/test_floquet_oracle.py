@@ -33,7 +33,11 @@ PHASE_TOL = 1e-12
 WEIGHT_TOL = 1e-11
 CLUSTER_GAP = 1e-9
 LAMBDAS = (0.05, 1.0, 6.2)
-CONVENTIONS = ("additive_r_k", "exponential_product")
+# The sign of a kick strength: +lam gives (I + (e^{i lam} - 1) P) U, the sum
+# of R_k form, and -lam the product form exp(-i lam P) U.  The ids name the
+# form each sign reaches.
+SIGNS = (pytest.param(1.0, id="additive_r_k"),
+         pytest.param(-1.0, id="exponential_product"))
 
 
 def schur_oracle(matrix, probes):
@@ -74,23 +78,21 @@ def assert_matches_oracle(matrix, probe=None):
 
 
 class TestSecularAgainstSchur:
-    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("sign", SIGNS)
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("dim", (2, 3, 16, 64, 256))
-    def test_rank1_full_support(self, dim, lam, convention):
+    def test_rank1_full_support(self, dim, lam, sign):
         ensemble = KickEnsemble(states=(full_support_state(0.75, dim),),
-                                strengths=(lam,))
-        assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim,
-                                            convention))
+                                strengths=(sign * lam,))
+        assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim))
 
-    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("sign", SIGNS)
     @pytest.mark.parametrize("rank", (2, 4))
     @pytest.mark.parametrize("dim", (8, 64, 256))
-    def test_rank_n_interleaved(self, dim, rank, convention):
-        strengths = [LAMBDAS[k % 3] + 0.1 * k for k in range(rank)]
+    def test_rank_n_interleaved(self, dim, rank, sign):
+        strengths = [sign * (LAMBDAS[k % 3] + 0.1 * k) for k in range(rank)]
         ensemble = orthonormal_ensemble(0.6, rank, dim, strengths)
-        assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim,
-                                            convention))
+        assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim))
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("dim", (4, 64, 256))
@@ -99,13 +101,13 @@ class TestSecularAgainstSchur:
                                 strengths=(lam,))
         assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim))
 
-    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("sign", SIGNS)
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("dim", (2, 32, 256))
-    def test_uniform_state(self, dim, lam, convention):
-        ensemble = KickEnsemble(states=(uniform_state(dim),), strengths=(lam,))
-        assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim,
-                                            convention))
+    def test_uniform_state(self, dim, lam, sign):
+        ensemble = KickEnsemble(states=(uniform_state(dim),),
+                                strengths=(sign * lam,))
+        assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim))
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("beta", (Fraction(1, 2), Fraction(1, 8)))
