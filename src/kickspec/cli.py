@@ -418,9 +418,12 @@ def cmd_dynamics(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on each parser (subparsers do not inherit it): a
+    # prefix of a flag is an error, not a silent alias of the longer flag
     parser = argparse.ArgumentParser(
         prog="kickspec",
-        description="Spectral laboratory for rank-N kicked systems")
+        description="Spectral laboratory for rank-N kicked systems",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -433,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 200 continued-fraction terms)")
 
     p = sub.add_parser("discrepancy",
-                       help="exact D_N and Erdos-Turan bounds for (n^j beta)")
+                       help="exact D_N and Erdos-Turan bounds for (n^j beta)",
+                       allow_abbrev=False)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--beta", required=True,
                    help="decimal, p/q, or named constant (golden, sqrt2)")
@@ -443,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "runs/discrepancy")
     p.set_defaults(func=cmd_discrepancy)
 
-    p = sub.add_parser("weyl", help="Weyl sums S = sum exp(2 pi i h n^j beta)")
+    p = sub.add_parser("weyl", help="Weyl sums S = sum exp(2 pi i h n^j beta)",
+                       allow_abbrev=False)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--beta", required=True)
     p.add_argument("--n-grid", default="1e2:1e5:4")
@@ -473,13 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "equal amplitudes")
 
     p = sub.add_parser("spectrum",
-                       help="eigenphases and spectral weights of the kicked operator")
+                       help="eigenphases and spectral weights of the kicked operator",
+                       allow_abbrev=False)
     spectrum_flags(p)
     common(p, "runs/spectrum")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("scount",
-                       help="interval and S(x) counting sweeps with growth labels")
+                       help="interval and S(x) counting sweeps with growth labels",
+                       allow_abbrev=False)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma-grid", default="0.75",
@@ -500,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scount)
 
     p = sub.add_parser("dynamics",
-                       help="survival probability and energy over kicks")
+                       help="survival probability and energy over kicks",
+                       allow_abbrev=False)
     spectrum_flags(p)
     p.add_argument("--kicks", type=int, default=1000)
     p.add_argument("--state-index", type=int, default=0)

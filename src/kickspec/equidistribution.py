@@ -5,8 +5,8 @@ brute-force oracle, the explicit Erdos-Turan bound, and log-log scaling fits
 of D_N against the irrationality-type prediction.
 
 Discrepancy values are computed exactly: a vectorised float pass locates the
-extremal intervals, the winners are re-evaluated in integer/rational
-arithmetic, and the correctly rounded float of the exact value is returned.
+extremal intervals, the winners are re-evaluated in integer arithmetic, and
+the correctly rounded float of the exact value is returned.
 That is what lets the closed-form routine and the quadratic oracle agree
 bit-for-bit instead of merely to a tolerance.
 """
@@ -188,35 +188,28 @@ def discrepancy_exact(points: Iterable[float]) -> DiscrepancyReport:
     Uses the order-statistics closed form
     D_N = 1/N + max_i (i/N - x_(i)) - min_i (i/N - x_(i)), evaluated exactly:
     a float pass nominates extremal indices and near-ties, which are settled
-    in integer (lattice points) or rational arithmetic.  O(N log N).
+    in integer arithmetic.  O(N log N).
+
+    A float x is k * 2**-s exactly (k from the 53-bit mantissa), so over the
+    candidates' largest s = S each term is the Python int
+    (i+1) * 2**S - N * k * 2**(S-s) over the common denominator N * 2**S.
     """
     xs = np.sort(_checked_points(points))
     n = xs.size
-    ks = _lattice_numerators(xs)
     terms = np.arange(1, n + 1, dtype=np.float64) / n - xs
-
-    def exact_extreme(float_extreme: float, sign: int) -> Fraction:
-        # sign +1 for the maximum, -1 for the minimum; every index whose
-        # float term is within rounding error of the extreme is re-checked
-        idx = np.nonzero(sign * terms >= sign * float_extreme - _EXACT_BAND)[0]
-        if ks is not None:
-            best_num = None
-            for i in idx:
-                num = (int(i) + 1) * UNIT_SCALE - n * int(ks[i])
-                if best_num is None or sign * (num - best_num) > 0:
-                    best_num = num
-            return Fraction(best_num, n * UNIT_SCALE)
-        best = None
-        for i in idx:
-            val = Fraction(int(i) + 1, n) - Fraction(float(xs[i]))
-            if best is None or sign * (val - best) > 0:
-                best = val
-        return best
-
-    hi = exact_extreme(float(terms.max()), +1)
-    lo = exact_extreme(float(terms.min()), -1)
-    d_exact = Fraction(1, n) + hi - lo
-    return DiscrepancyReport(n_points=n, d_n=float(d_exact))
+    # every index whose float term is within rounding error of an extreme
+    hi = np.flatnonzero(terms >= terms.max() - _EXACT_BAND)
+    lo = np.flatnonzero(terms <= terms.min() + _EXACT_BAND)
+    idx = np.concatenate([hi, lo])
+    mantissa, exponent = np.frexp(xs[idx])
+    ks = (mantissa * 2.0 ** 53).astype(np.int64).tolist()
+    shifts = (53 - exponent).tolist()
+    top = max(shifts)
+    nums = [((i + 1) << top) - ((n * k) << (top - s))
+            for i, k, s in zip(idx.tolist(), ks, shifts)]
+    numerator = (1 << top) + max(nums[:hi.size]) - min(nums[hi.size:])
+    # int / int is correctly rounded
+    return DiscrepancyReport(n_points=n, d_n=numerator / (n << top))
 
 
 def discrepancy_oracle(points: Iterable[float]) -> float:

@@ -17,9 +17,10 @@ Nothing here factorises a dense matrix.  When the kick states have pairwise
 disjoint supports, V is a direct sum of rank-1 problems plus untouched basis
 states.  The eigenphases of each rank-1 block are the roots of the cotangent
 secular equation sum_n |a_n|^2 cot((x - theta_n)/2) = cot(lambda/(2 hbar)),
-one in each gap between the weighted poles theta_n, and the spectral weights
-are the point masses B(x)/sin^2(lambda/(2 hbar)); roots are found in the
-offset from the nearer pole (Bunch, Nielsen and Sorensen 1978; Gragg and
+one in each gap between the weighted poles theta_n.  The spectral weights
+are those of the operator's own kick states: state k's point masses
+B(x)/sin^2(lambda_k/(2 hbar)) at the roots of its block.  Roots are found in
+the offset from the nearer pole (Bunch, Nielsen and Sorensen 1978; Gragg and
 Reichel 1990 for the unitary case), O(dim^2) per block.  Dynamics apply V
 matrix-free, O(dim * N) per kick.  The dense matrix is assembled only on
 request (``FloquetMatrix.entries``), for tests and oracles; dim <= 4096.
@@ -215,13 +216,11 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble,
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Sorted eigenphases of V with spectral weights per probe state.
+    """Sorted eigenphases of V with the spectral weights of its kick states.
 
-    weights[k, i] = |<phi_k | v_i>|**2 for an orthonormal eigenbasis v_i of
-    V, so each row sums to 1.  A degenerate eigenvalue has no unique
-    eigenbasis: only weights summed over it are basis-free.  For the extra
-    copies of coincident poles in a kicked block, a probe's whole weight
-    on that eigenspace sits on the first copy.
+    weights[k, i] is the point mass of kick state k at eigenphase i,
+    |<psi_k | v_i>|**2 for an orthonormal eigenbasis v_i of V, so each row
+    sums to 1.  It is nonzero only at the roots of state k's own block.
     """
 
     eigenphases: np.ndarray
@@ -238,26 +237,24 @@ class _SecularBlock:
 
     Exactly coincident poles are deflated: each extra copy of a pole stays an
     eigenphase with no weight on ``a``, and the group's merged weight enters
-    the secular sum.  Each root is stored as the pole it was solved from
-    (``origin``, an index into ``poles``) and its offset ``tau`` from it, so
-    distances to nearby poles are known without cancellation.
+    the secular sum.  Each root is solved as the pole it is nearer to (the
+    origin) plus an offset tau, so distances to nearby poles are known
+    without cancellation.
     """
 
     def __init__(self, indices: np.ndarray, coefficients: np.ndarray,
                  theta: ThetaSequence, kick_phase: float):
         unit = theta.unit_values[indices]
         order = np.argsort(unit, kind="stable")
-        self.indices = indices[order]
-        self.a = coefficients[self.indices]
+        weights = np.abs(coefficients[indices[order]]) ** 2
         unit = unit[order]
         starts = np.flatnonzero(np.r_[True, unit[1:] != unit[:-1]])
-        self.starts = starts
         self.poles = unit[starts]  # on the 2**-53 grid: differences are exact
-        self.pole_weights = np.add.reduceat(np.abs(self.a) ** 2, starts)
+        self.pole_weights = np.add.reduceat(weights, starts)
         self.cot_kick = 1.0 / math.tan(0.5 * kick_phase)
         self.kick_phase = kick_phase
-        self.origin, self.tau, self.b_inverse = self._solve()
-        x = TWO_PI * self.poles[self.origin] + self.tau
+        origin, tau, self.b_inverse = self._solve()
+        x = TWO_PI * self.poles[origin] + tau
         x = np.where(x < 0.0, x + TWO_PI, x)
         self.roots = np.where(x >= TWO_PI, x - TWO_PI, x)
         counts = np.diff(np.r_[starts, unit.size])
@@ -367,33 +364,7 @@ class _SecularBlock:
 
     def own_weights(self) -> np.ndarray:
         """Point masses of the roots on this block's own kick state."""
-        return point_mass(self.roots, self.kick_phase, self.b_inverse)
-
-    def probe_weights(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|<phi|v>|**2 for the roots, and for the extra pole copies.
-
-        A root's eigenvector is v[n] ∝ a_n / (e^{ix} - e^{i theta_n}), so
-        |<phi|v>|**2 = |sum_n conj(phi_n) a_n (cot(d_n/2) + i)|**2 / B^-1(x)
-        with d_n = x - theta_n; O(dim * M) per probe.
-        """
-        c = np.conj(phi[self.indices]) * self.a
-        c_poles = np.add.reduceat(c, self.starts)
-        overlap = np.empty(self.poles.size, dtype=np.complex128)
-        for tile in self._tiles(self.poles.size):
-            half = self._half_angles(self.origin[tile], self.tau[tile])
-            overlap[tile] = (np.cos(half) / np.sin(half)) @ c_poles
-        overlap += 1j * c_poles.sum()
-        roots = np.abs(overlap) ** 2 / self.b_inverse
-        # the eigenspace of a pole with k copies is the (k-1)-dimensional
-        # part of its coordinates orthogonal to a: phi's projection onto it
-        # goes to the first copy
-        phi_sq = np.add.reduceat(np.abs(phi[self.indices]) ** 2, self.starts)
-        deflated = np.maximum(
-            phi_sq - np.abs(c_poles) ** 2 / self.pole_weights, 0.0)
-        copies = np.zeros(self.copies.size)
-        _, first = np.unique(self.copies, return_index=True)
-        copies[first] = deflated[self.copies[first]]
-        return roots, copies
+        return point_mass(self.kick_phase, self.b_inverse)
 
 
 def _secular_blocks(matrix: FloquetMatrix) -> tuple[list[_SecularBlock],
@@ -416,45 +387,29 @@ def _secular_blocks(matrix: FloquetMatrix) -> tuple[list[_SecularBlock],
     return blocks, np.flatnonzero(touched == 0)
 
 
-def eigen_decompose(matrix: FloquetMatrix,
-                    ensemble: KickEnsemble | None = None) -> EigenDecomposition:
-    """Eigenphases of V and the spectral weights of each probe state.
+def eigen_decompose(matrix: FloquetMatrix) -> EigenDecomposition:
+    """Eigenphases of V and the spectral weights of its kick states.
 
     Kick states must have pairwise disjoint supports (EnsembleError
     otherwise); V is then a direct sum of rank-1 blocks, solved through the
     cotangent secular equation, and of untouched basis states e_n, which keep
-    the phase theta_n.  Weights on the operator's own ensemble (the default
-    probe) are the point masses B(x)/sin^2(lambda/(2 hbar)); any other probe
-    ensemble is projected onto the explicit rank-1 eigenvectors.  Each row of
-    weights must sum to 1 within WEIGHT_SUM_TOL, else ToleranceError.
+    the phase theta_n.  The weights of kick state k are its point masses
+    B(x)/sin^2(lambda_k/(2 hbar)) at the roots of its block; each row must sum
+    to 1 within WEIGHT_SUM_TOL, else ToleranceError.
     """
     if matrix.unitarity_defect > UNITARITY_TOL * matrix.dim:
         raise ToleranceError("input matrix is not unitary to tolerance")
-    own = ensemble is None or ensemble is matrix.ensemble
-    probes = matrix.ensemble.states if own else ensemble.states
-    if any(state.dim != matrix.dim for state in probes):
-        raise EnsembleError(f"probe states must have dimension {matrix.dim}")
     blocks, bare = _secular_blocks(matrix)
 
     phases = np.concatenate(
         [matrix.theta.values[bare]]
         + [part for block in blocks
            for part in (block.roots, TWO_PI * block.poles[block.copies])])
-    weights = np.zeros((len(probes), phases.size))
-    if not own:
-        for p, state in enumerate(probes):
-            weights[p, :bare.size] = np.abs(state.coefficients[bare]) ** 2
+    weights = np.zeros((len(blocks), phases.size))
     offset = bare.size
     for k, block in enumerate(blocks):
-        roots = slice(offset, offset + block.roots.size)
-        copies = slice(roots.stop, roots.stop + block.copies.size)
-        if own:
-            weights[k, roots] = block.own_weights()
-        else:
-            for p, state in enumerate(probes):
-                weights[p, roots], weights[p, copies] = \
-                    block.probe_weights(state.coefficients)
-        offset = copies.stop
+        weights[k, offset:offset + block.roots.size] = block.own_weights()
+        offset += block.roots.size + block.copies.size
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     weights = weights[:, order]

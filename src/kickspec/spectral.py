@@ -424,13 +424,13 @@ def b_inverse_per_kick(x: float, ensemble: KickEnsemble, theta: ThetaSequence,
     return per_k, product
 
 
-def point_mass(x, lambda_over_hbar: float, b_inverse):
-    """Spectral point mass at e^{ix} from the partial B^-1 value.
+def point_mass(lambda_over_hbar: float, b_inverse):
+    """Spectral point mass at e^{ix} from the partial B^-1(x) value.
 
     Equals B(x) / sin^2(lambda/(2*hbar)), the real form of the prefactor
     -4(1+mu)/mu**2 with mu = e^{i lambda/hbar} - 1.  A Divergent marker means
     B(x) = 0: the point carries no mass.  An array of B^-1 values (one per
-    point of an array x) gives the array of masses.
+    point x) gives the array of masses.
     """
     s = math.sin(0.5 * lambda_over_hbar)
     if abs(s) < POLE_TOL:

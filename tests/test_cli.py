@@ -108,6 +108,17 @@ class TestExitCodes:
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    # a prefix of --gamma-grid or --lambdas is an error, not an alias
+    @pytest.mark.parametrize("argv", [
+        ["scount", "--beta", "golden", "--gamma", "0.75"],
+        ["spectrum", "--beta", "golden", "--lambda", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_abbreviations_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
     def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
         code = main(["scount", "--beta", "golden", "--threads", threads,

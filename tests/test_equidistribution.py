@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickspec.equidistribution import (
@@ -194,6 +194,9 @@ class TestDiscrepancy:
 
     @given(unit_points)
     @settings(max_examples=120, deadline=None)
+    # every index a near-tie candidate; a subnormal beside a large point
+    @example(list(np.arange(1024) / 1024))
+    @example([5e-324, 0.5])
     def test_oracle_equality(self, pts):
         assert discrepancy_exact(pts).d_n == discrepancy_oracle(pts)
 
@@ -217,8 +220,8 @@ class TestDiscrepancy:
                     discrepancy_oracle(offgrid)
 
     def test_offgrid_dense_ties(self):
-        # i/n grids sit off the 2**-53 lattice and tie almost everywhere;
-        # this exercises the rational fallback end to end
+        # i/n grids sit off the 2**-53 lattice and tie almost everywhere,
+        # so nearly every index is settled in integer arithmetic
         pts = (np.arange(300) / 300 + 1e-5) % 1.0
         assert discrepancy_exact(pts).d_n == discrepancy_oracle(pts)
 

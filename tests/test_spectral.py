@@ -392,17 +392,17 @@ class TestBInverse:
 
 class TestPointMass:
     def test_antipodal_phase(self):
-        assert point_mass(1.0, math.pi, 1 / 0.3) == pytest.approx(0.3)
+        assert point_mass(math.pi, 1 / 0.3) == pytest.approx(0.3)
 
     def test_quarter_phase(self):
-        assert point_mass(1.0, math.pi / 2, 1 / 0.2) == pytest.approx(0.4)
+        assert point_mass(math.pi / 2, 1 / 0.2) == pytest.approx(0.4)
 
     def test_divergent_carries_no_mass(self):
-        assert point_mass(1.0, math.pi, Divergent(3)) == 0.0
+        assert point_mass(math.pi, Divergent(3)) == 0.0
 
     def test_trivial_kick_rejected(self):
         with pytest.raises(TrivialPerturbationError):
-            point_mass(1.0, 2 * math.pi, 2.0)
+            point_mass(2 * math.pi, 2.0)
 
     @given(st.floats(min_value=0.05, max_value=TWO_PI - 0.05),
            st.floats(min_value=0.01, max_value=100.0))
@@ -412,11 +412,11 @@ class TestPointMass:
         # arithmetic, times B(x)
         mu = complex(math.cos(lam) - 1.0, math.sin(lam))
         oracle = (-4.0 * (1.0 + mu) / mu**2).real / b_inv
-        assert point_mass(0.5, lam, b_inv) == pytest.approx(oracle, rel=1e-11)
+        assert point_mass(lam, b_inv) == pytest.approx(oracle, rel=1e-11)
 
     def test_roundtrip_identity(self):
         for lam in (0.3, 1.0, 2.0, math.pi, 5.0):
-            mass = point_mass(0.5, lam, 1 / 0.17)
+            mass = point_mass(lam, 1 / 0.17)
             assert mass * math.sin(lam / 2) ** 2 == pytest.approx(0.17,
                                                                   rel=1e-12)
 
