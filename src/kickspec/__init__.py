@@ -36,7 +36,6 @@ from .equidistribution import (
     DiscrepancyReport,
     ScalingFit,
     SequenceSpec,
-    WeylSum,
     classical_exponent,
     conjectured_exponent,
     discrepancy_exact,
@@ -88,7 +87,6 @@ from .rationals import (
 )
 from .spectral import (
     BaseSpectrum,
-    Divergent,
     GammaWindow,
     KickEnsemble,
     KickState,

@@ -7,7 +7,8 @@ including under scount's --threads parallelism (cells are assembled by index,
 never by completion time).
 
 Exit codes: 0 success, 2 usage, 3 resource limit, 4 numerical tolerance
-violation.
+violation.  A run writes its files only after its last computation, so a
+failed run leaves none.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ from .runio import (
 )
 from .spectral import (
     BaseSpectrum,
-    Divergent,
     KickEnsemble,
     KickState,
+    _check_gamma,
     cotangent_residual,
     full_support_state,
     gamma_window,
@@ -242,8 +243,7 @@ def cmd_weyl(args) -> int:
     for i, n in enumerate(grid):
         for h, sums in enumerate(by_harmonic, start=1):
             s = sums[i]
-            rows.append((n, h, s.value.real, s.value.imag, s.modulus,
-                         s.modulus / n))
+            rows.append((n, h, s.real, s.imag, abs(s), abs(s) / n))
     table = ResultTable(
         columns=("N", "h", "re_S", "im_S", "modulus", "modulus_over_N"),
         rows=tuple(rows))
@@ -272,9 +272,6 @@ def cmd_spectrum(args) -> int:
     for i, phase in enumerate(decomposition.eigenphases):
         rows.append((i, float(phase),
                      *(float(decomposition.weights[k, i]) for k in range(k_count))))
-    out = Path(args.out)
-    write_csv(out / "eigenphases.csv",
-              ResultTable(columns=tuple(columns), rows=tuple(rows)))
     summary = {
         "dim": args.dim,
         "unitarity_defect": matrix.unitarity_defect,
@@ -290,6 +287,9 @@ def cmd_spectrum(args) -> int:
             matrix.kick_phases[0]))
             for x in decomposition.eigenphases]
         summary["max_secular_residual"] = max(residuals)
+    out = Path(args.out)
+    write_csv(out / "eigenphases.csv",
+              ResultTable(columns=tuple(columns), rows=tuple(rows)))
     write_json(out / "summary.json", summary)
     write_manifest(out, "spectrum", _flag_params(args), __version__,
                    ["eigenphases.csv", "summary.json"])
@@ -303,8 +303,7 @@ def cmd_scount(args) -> int:
     grid = parse_size_grid(args.n_grid)
     gammas = parse_float_list(args.gamma_grid)
     for gamma in gammas:
-        if not 0.5 < gamma <= 1.0:
-            raise ValueError(f"gamma = {gamma} outside (1/2, 1]")
+        _check_gamma(gamma)
     if args.eta is not None:
         eta = args.eta
     else:
@@ -333,10 +332,8 @@ def cmd_scount(args) -> int:
         cell_rows = []
         for cell in sweep.cells:
             rep = cell.report
-            b_inv = math.inf if isinstance(rep.b_inverse, Divergent) \
-                else rep.b_inverse
             cell_rows.append([cell.x, cell.gamma, rep.n, rep.a_count,
-                              rep.s_count, rep.lhs, rep.rhs, b_inv,
+                              rep.s_count, rep.lhs, rep.rhs, rep.b_inverse,
                               int(rep.holds)])
         label_rows = []
         for gamma in gammas:
@@ -391,10 +388,6 @@ def cmd_dynamics(args) -> int:
                               np.arange(1, args.kicks + 1)])
     rows = [(n, float(survival[n]), float(trace.energies[n]), float(running[n]))
             for n in range(args.kicks + 1)]
-    out = Path(args.out)
-    write_csv(out / "dynamics.csv", ResultTable(
-        columns=("n", "survival", "energy", "running_cesaro"),
-        rows=tuple(rows)))
     summary = {
         "kicks": args.kicks,
         "cesaro_mean": trace.cesaro_mean(),
@@ -405,6 +398,10 @@ def cmd_dynamics(args) -> int:
                                     args.state_index)
         summary["point_mass_sum"] = mass
         summary["wiener_gap"] = abs(mean - mass)
+    out = Path(args.out)
+    write_csv(out / "dynamics.csv", ResultTable(
+        columns=("n", "survival", "energy", "running_cesaro"),
+        rows=tuple(rows)))
     write_json(out / "summary.json", summary)
     write_manifest(out, "dynamics", _flag_params(args), __version__,
                    ["dynamics.csv", "summary.json"])

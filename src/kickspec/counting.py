@@ -42,11 +42,12 @@ from .errors import IntervalRangeError, ResourceLimitError, ToleranceError
 from .rationals import RationalApprox, golden_ratio
 from .spectral import (
     BaseSpectrum,
-    Divergent,
     GammaWindow,
     KickState,
     ThetaSequence,
     _b_inverse_sum,
+    _check_gamma,
+    _check_prefix,
     circle_distance,
     gamma_window,
     power_law_state,
@@ -159,13 +160,6 @@ def count_set_S(x: float, state: KickState, theta: ThetaSequence,
                     circle_distance(x, theta.values[:n]))
 
 
-def _check_prefix(n: int, state: KickState, theta: ThetaSequence) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > min(state.dim, len(theta)):
-        raise ValueError("n exceeds the available state or phase length")
-
-
 def _s_count(amplitudes: np.ndarray, dist: np.ndarray) -> int:
     """#{m : 0 < |a_m| and dist_m <= |a_m|} over one prefix."""
     return int(np.count_nonzero((amplitudes > 0.0) & (dist <= amplitudes)))
@@ -202,7 +196,7 @@ class CountReport:
     s_count: int
     lhs: float
     rhs: float
-    b_inverse: float | Divergent
+    b_inverse: float
     holds: bool
     variant: Variant = "combescure"
     delta: float | None = None
@@ -263,7 +257,7 @@ class BInverseBounds:
     s_count: int  # #S(x)
     per_term_bound: float  # 4 * #S(x)
     widened_bound: float  # (1/pi**2) * #S_bourget(x) * log N / N**(2(1-gamma))
-    b_inverse: float | Divergent
+    b_inverse: float
 
 
 def b_lower_bounds(x: float, state: KickState, theta: ThetaSequence,
@@ -292,13 +286,13 @@ def b_lower_bounds(x: float, state: KickState, theta: ThetaSequence,
     widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - state.gamma))
     # the counts are done with |a_m|: square it in place into the weights
     value = _b_inverse_sum(np.square(amplitudes, out=amplitudes), dist)
-    if not isinstance(value, Divergent):
-        if value < per_term:
-            raise ToleranceError(
-                f"B^-1 partial sum {value:.6e} below per-term bound {per_term:.6e}")
-        if value < widened:
-            raise ToleranceError(
-                f"B^-1 partial sum {value:.6e} below widened bound {widened:.6e}")
+    # a weighted pole gives inf, which passes both comparisons
+    if value < per_term:
+        raise ToleranceError(
+            f"B^-1 partial sum {value:.6e} below per-term bound {per_term:.6e}")
+    if value < widened:
+        raise ToleranceError(
+            f"B^-1 partial sum {value:.6e} below widened bound {widened:.6e}")
     return BInverseBounds(s_count=s_count, per_term_bound=per_term,
                           widened_bound=widened, b_inverse=value)
 
@@ -375,6 +369,8 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
         repeated = [v for v, count in Counter(values).items() if count > 1]
         if repeated:
             raise ValueError(f"{name} grid repeats the value {repeated[0]!r}")
+    for gamma in gammas:
+        _check_gamma(gamma)
     n_max = sizes[-1]
     theta = theta_sequence(_monomial_spectrum(spec), n_max + 1)
     d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
@@ -441,10 +437,8 @@ def gamma_sweep(j: int, eta_estimate: float, beta: RationalApprox,
     forces divergence; outside it the labels are reported without any
     assertion (that regime depends on the unproven Weyl-sum exponent).
     """
-    gammas = tuple(float(g) for g in gamma_grid)
-    if any(not 0.5 < g <= 1.0 for g in gammas):
-        raise ValueError("gamma grid must lie inside (1/2, 1]")
-    return _sweep(SequenceSpec(j=j, beta=beta), gammas, x_grid, n_grid,
+    return _sweep(SequenceSpec(j=j, beta=beta),
+                  tuple(float(g) for g in gamma_grid), x_grid, n_grid,
                   variant, threads, window=gamma_window(j, eta_estimate))
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "ET_SIZE_FLOOR",
     "MAX_ET_PRODUCTS",
     "SequenceSpec",
-    "WeylSum",
     "DiscrepancyReport",
     "ScalingFit",
     "sequence_points",
@@ -79,12 +78,6 @@ class SequenceSpec:
 
 
 @dataclass(frozen=True)
-class WeylSum:
-    value: complex
-    modulus: float
-
-
-@dataclass(frozen=True)
 class DiscrepancyReport:
     """Extreme discrepancy of a finite point set, optionally with its
     Erdos-Turan upper bound."""
@@ -114,7 +107,7 @@ def sequence_points(spec: SequenceSpec, n_terms: int) -> np.ndarray:
     return polynomial_fractional_parts(coeffs, n_terms, start=1)
 
 
-def weyl_sum(spec: SequenceSpec, h: int, n_terms: int) -> WeylSum:
+def weyl_sum(spec: SequenceSpec, h: int, n_terms: int) -> complex:
     """S = sum_{n=1}^{N} exp(2 pi i h n**j beta).
 
     The phase h n**j beta is reduced mod 1 in integer arithmetic before any
@@ -124,7 +117,7 @@ def weyl_sum(spec: SequenceSpec, h: int, n_terms: int) -> WeylSum:
     return weyl_sums(spec, h, [n_terms])[0]
 
 
-def weyl_sums(spec: SequenceSpec, h: int, sizes: Sequence[int]) -> list[WeylSum]:
+def weyl_sums(spec: SequenceSpec, h: int, sizes: Sequence[int]) -> list[complex]:
     """``weyl_sum(spec, h, n)`` for every n in ``sizes`` from one exact pass.
 
     The phases are computed once up to the largest size and each sum runs
@@ -139,8 +132,7 @@ def weyl_sums(spec: SequenceSpec, h: int, sizes: Sequence[int]) -> list[WeylSum]
     coeffs = [Fraction(0)] * spec.j + [h * spec.beta.as_fraction()]
     phases = polynomial_fractional_parts(coeffs, max(sizes), start=1)
     terms = np.exp(2j * np.pi * phases)
-    values = [complex(terms[:n].sum()) for n in sizes]
-    return [WeylSum(value=value, modulus=abs(value)) for value in values]
+    return [complex(terms[:n].sum()) for n in sizes]
 
 
 def classical_exponent(j: int) -> float:

@@ -22,7 +22,7 @@ class PoleError(ValueError):
 
 
 class TrivialPerturbationError(ValueError):
-    """A kick strength is congruent to 0 mod 2*pi*hbar, so the kick is a no-op."""
+    """A kick strength is a multiple of 2*pi*hbar, so the kick is a no-op."""
 
 
 class EnsembleError(ValueError):

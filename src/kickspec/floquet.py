@@ -39,13 +39,13 @@ from .errors import (
     ProvenanceError,
     ResourceLimitError,
     ToleranceError,
-    TrivialPerturbationError,
 )
 from .spectral import (
     BaseSpectrum,
     KickEnsemble,
     KickState,
     ThetaSequence,
+    _kick_sine,
     alpha_sequence,
     point_mass,
     theta_sequence,
@@ -173,8 +173,9 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble,
     U = diag(e^{i theta_n}) carries the unperturbed eigenphases; the kick
     factor is I + sum_k (e^{i lambda_k/hbar} - 1) P_k applied from the left.
     A negative strength gives the product form exp(-i |lambda| P/hbar) U.
-    Ensemble states are truncated and renormalised to ``dim`` first; the
-    ensemble must stay orthonormal after that cut.
+    A no-op kick (``spectral._kick_sine``) raises TrivialPerturbationError
+    before any work.  Ensemble states are truncated and renormalised to
+    ``dim`` first; the ensemble must stay orthonormal after that cut.
 
     V is unitary exactly when every |1 + mu_k| = 1 and the truncated states
     are orthonormal, so ``unitarity_defect`` is the largest deviation from
@@ -189,6 +190,7 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble,
         if not math.isfinite(phase):
             raise ValueError(f"kick strength {strength} with hbar {spec.hbar} "
                              "gives a non-finite phase lambda/hbar")
+        _kick_sine(phase)
 
     theta = theta_sequence(spec, dim)
     truncated = KickEnsemble(
@@ -196,12 +198,6 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble,
         strengths=ensemble.strengths)
 
     mu = _kick_factors(kick_phases)
-    for strength, mu_k in zip(truncated.strengths, mu):
-        if abs(mu_k) < 1e-12:
-            raise TrivialPerturbationError(
-                f"kick strength {strength} is a no-op: lambda/hbar congruent "
-                "to 0 mod 2*pi")
-
     defect = max((abs(abs(1.0 + mu_k) - 1.0) for mu_k in mu), default=0.0)
     if len(truncated):
         psi = np.stack([s.coefficients for s in truncated.states])

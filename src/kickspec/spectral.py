@@ -14,6 +14,11 @@ square-summable but not summable regime 1/2 < gamma <= 1), orthonormal
 ensembles over interleaved index classes, the divergence diagnostic
 B^-1(x) = sum |a_n|^2 / sin^2((x - theta_n)/2), the point-mass formula, and
 the cotangent secular condition whose roots are the kicked eigenphases.
+Three rules of the kick are decided here and nowhere else: a weighted pole
+makes B^-1(x) = inf, where the point mass B(x)/sin^2(lambda/(2*hbar)) is 0
+(``_b_inverse_sum``); a kick with |sin(lambda/(2*hbar))| < POLE_TOL is a
+no-op (``_kick_sine``); and a power law belongs to the divergent regime
+1/2 < gamma <= 1 (``_check_gamma``).
 The weight a truncation drops from a power-law state is the Hurwitz zeta
 tail zeta(2*gamma, N+1), summed by Euler-Maclaurin in ``_hurwitz_zeta``, so
 numpy is the only dependency.
@@ -41,7 +46,6 @@ __all__ = [
     "ThetaSequence",
     "KickState",
     "KickEnsemble",
-    "Divergent",
     "GammaWindow",
     "alpha_sequence",
     "theta_sequence",
@@ -253,6 +257,12 @@ def _progression_tail(support: np.ndarray, gamma: float) -> float:
     return stride ** (-2 * gamma) * _hurwitz_zeta(2 * gamma, nxt / stride)
 
 
+def _check_gamma(gamma: float) -> None:
+    """Reject an exponent outside the divergent regime (1/2, 1]."""
+    if not 0.5 < gamma <= 1.0:
+        raise ValueError(f"gamma = {gamma} outside the divergent regime (1/2, 1]")
+
+
 def power_law_state(gamma: float, dim: int,
                     support: Iterable[int] | None = None) -> KickState:
     """Normalised state with a_n = C * n**(-gamma) on the support, 0 elsewhere.
@@ -263,8 +273,7 @@ def power_law_state(gamma: float, dim: int,
     The weight of the discarded power-law tail beyond the truncation is
     recorded unnormalised in ``lost_tail``.
     """
-    if not 0.5 < gamma <= 1.0:
-        raise ValueError(f"gamma = {gamma} outside the divergent regime (1/2, 1]")
+    _check_gamma(gamma)
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if support is None:
@@ -294,8 +303,7 @@ def full_support_state(gamma: float, dim: int) -> KickState:
     spectrum.  This variant weights every basis state, which is what the
     all-eigenphase cotangent checks need.
     """
-    if not 0.5 < gamma <= 1.0:
-        raise ValueError(f"gamma = {gamma} outside the divergent regime (1/2, 1]")
+    _check_gamma(gamma)
     if dim < 2:
         raise ValueError("dim must be at least 2")
     raw = (np.arange(dim) + 1.0) ** (-gamma)
@@ -354,27 +362,23 @@ def orthonormal_ensemble(gamma: float, n_states: int, dim: int,
     return KickEnsemble(states=tuple(states), strengths=tuple(strengths))
 
 
-@dataclass(frozen=True)
-class Divergent:
-    """Marker for a diverging partial sum: x hit the eigenphase at pole_index
-    with nonzero coefficient, so B(x) = 0 and the point carries no mass."""
-
-    pole_index: int
+def _check_prefix(n: int, state: KickState, theta: ThetaSequence) -> None:
+    """Reject a prefix length outside 1..min(state.dim, len(theta))."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > min(state.dim, len(theta)):
+        raise ValueError("n exceeds the available state or phase length")
 
 
 def b_inverse_partial(x: float, state: KickState, theta: ThetaSequence,
-                      n_terms: int):
+                      n_terms: int) -> float:
     """Partial sum of B^-1(x) = sum_n |a_n|^2 / sin^2((x - theta_n)/2).
 
-    Nondecreasing in n_terms.  Returns a Divergent marker instead of a float
-    when x coincides with some theta_n carrying nonzero weight (distance on
-    the circle below POLE_TOL); zero-weight terms never contribute and never
-    make a pole.
+    Nondecreasing in n_terms.  Returns ``math.inf`` when x coincides with
+    some theta_n carrying nonzero weight (distance on the circle below
+    POLE_TOL); zero-weight terms never contribute and never make a pole.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
-    if n_terms > min(state.dim, len(theta)):
-        raise ValueError("n_terms exceeds the available state or phase length")
+    _check_prefix(n_terms, state, theta)
     return _b_inverse_sum(np.abs(state.coefficients[:n_terms]) ** 2,
                           circle_distance(x, theta.values[:n_terms]))
 
@@ -385,17 +389,16 @@ def _first_pole(mask: np.ndarray, dist: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray):
+def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray) -> float:
     """sum w_n / sin^2(d_n/2) over w_n > 0 from the weights |a_n|**2 and the
-    circle distances d_n of one prefix, or Divergent on a weighted pole.
+    circle distances d_n of one prefix, or ``math.inf`` on a weighted pole.
 
     Neither argument is written: sin^2(d_n/2) and the terms are built in
     place on the two masked copies, with no further prefix-sized temporary.
     """
     mask = weights > 0.0
-    pole = _first_pole(mask, dist)
-    if pole is not None:
-        return Divergent(pole_index=pole)
+    if _first_pole(mask, dist) is not None:
+        return math.inf
     s = dist[mask]
     s *= 0.5
     np.sin(s, out=s)
@@ -406,38 +409,41 @@ def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray):
 
 
 def b_inverse_per_kick(x: float, ensemble: KickEnsemble, theta: ThetaSequence,
-                       n_terms: int):
+                       n_terms: int) -> tuple[tuple[float, ...], float]:
     """Per-state partial sums of B_k^-1(x) and their product.
 
     e^{ix} keeps a point mass only while every factor stays finite, so the
-    product is reported alongside the individual factors; if any factor
-    diverges the product is the same Divergent marker.
+    product is reported alongside the individual factors; if any factor is
+    ``math.inf`` the product is too, even where another factor is 0.0 (a
+    state with no weight in the prefix), whose plain product would be nan.
     """
     per_k = tuple(b_inverse_partial(x, state, theta, n_terms)
                   for state in ensemble.states)
-    product: float | Divergent = 1.0
-    for value in per_k:
-        if isinstance(value, Divergent):
-            product = value
-            break
-        product *= value
-    return per_k, product
+    return per_k, math.inf if math.inf in per_k else math.prod(per_k)
+
+
+def _kick_sine(phase: float) -> float:
+    """sin(phase/2) of a kick phase lambda/hbar.
+
+    Raises TrivialPerturbationError when |sin(phase/2)| < POLE_TOL: the kick
+    factor e^{i phase} is then 1 to within 2*POLE_TOL and the kick is a no-op.
+    """
+    s = math.sin(0.5 * phase)
+    if abs(s) < POLE_TOL:
+        raise TrivialPerturbationError(
+            f"lambda/hbar = {phase} is congruent to 0 mod 2*pi")
+    return s
 
 
 def point_mass(lambda_over_hbar: float, b_inverse):
     """Spectral point mass at e^{ix} from the partial B^-1(x) value.
 
     Equals B(x) / sin^2(lambda/(2*hbar)), the real form of the prefactor
-    -4(1+mu)/mu**2 with mu = e^{i lambda/hbar} - 1.  A Divergent marker means
-    B(x) = 0: the point carries no mass.  An array of B^-1 values (one per
-    point x) gives the array of masses.
+    -4(1+mu)/mu**2 with mu = e^{i lambda/hbar} - 1.  B^-1 = ``math.inf``
+    (a weighted pole) means B(x) = 0, and 1/inf gives the point no mass.  An
+    array of B^-1 values (one per point x) gives the array of masses.
     """
-    s = math.sin(0.5 * lambda_over_hbar)
-    if abs(s) < POLE_TOL:
-        raise TrivialPerturbationError(
-            f"lambda/hbar = {lambda_over_hbar} is congruent to 0 mod 2*pi")
-    if isinstance(b_inverse, Divergent):
-        return 0.0
+    s = _kick_sine(lambda_over_hbar)
     if not np.all(np.asarray(b_inverse) > 0.0):
         raise ValueError("B^-1 partial sums are positive for nonempty states")
     return (1.0 / b_inverse) / (s * s)
@@ -459,10 +465,7 @@ def cotangent_residual(x: float, state: KickState, theta: ThetaSequence,
     pole = _first_pole(mask, circle_distance(x, theta.values[:n_terms]))
     if pole is not None:
         raise PoleError(pole)
-    s_kick = math.sin(0.5 * lambda_over_hbar)
-    if abs(s_kick) < POLE_TOL:
-        raise TrivialPerturbationError(
-            f"lambda/hbar = {lambda_over_hbar} is congruent to 0 mod 2*pi")
+    s_kick = _kick_sine(lambda_over_hbar)
     half = 0.5 * (x - theta.values[:n_terms][mask])
     total = float(np.sum(w[mask] * (np.cos(half) / np.sin(half))))
     return total - math.cos(0.5 * lambda_over_hbar) / s_kick

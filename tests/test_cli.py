@@ -119,6 +119,37 @@ class TestExitCodes:
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
+    # lambda - 2*pi = 1.5e-12: |sin(lambda/2)| = 7.5e-13 makes the kick a
+    # no-op, rejected before any phase is built or any file written
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    def test_near_trivial_kick_writes_nothing(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([command, "--beta", "golden", "--dim", "64",
+                     "--lambdas", "6.283185307181086", "--out", str(out)])
+        assert code == 2
+        assert "congruent to 0 mod 2*pi" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the last computation of a run fails: no partial run is left behind
+    @pytest.mark.parametrize("argv, patched, error, code, table", [
+        pytest.param(["dynamics", "--kicks", "10"], "eigen_decompose",
+                     errors.ToleranceError("synthetic"), 4, "dynamics.csv",
+                     id="dynamics"),
+        pytest.param(["spectrum"], "cotangent_residual", errors.PoleError(0),
+                     2, "eigenphases.csv", id="spectrum"),
+    ])
+    def test_late_failure_writes_nothing(self, argv, patched, error, code,
+                                         table, tmp_path, monkeypatch):
+        import kickspec.cli as cli_mod
+
+        def explode(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_mod, patched, explode)
+        assert main(argv + ["--beta", "golden", "--dim", "16",
+                            "--out", str(tmp_path)]) == code
+        assert not (tmp_path / table).exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
     def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
         code = main(["scount", "--beta", "golden", "--threads", threads,

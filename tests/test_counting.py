@@ -26,7 +26,6 @@ from kickspec.rationals import RationalApprox, golden_ratio
 from kickspec.spectral import (
     POLE_TOL,
     BaseSpectrum,
-    Divergent,
     KickState,
     ThetaSequence,
     b_inverse_partial,
@@ -223,7 +222,7 @@ def three_pass_b_inverse(x, state, theta, n):
     d = modulo_distance(x, theta.values[:n])
     hits = np.nonzero(mask & (d < POLE_TOL))[0]
     if hits.size:
-        return Divergent(pole_index=int(hits[0]))
+        return math.inf
     s = np.sin(0.5 * d[mask])
     return float(np.sum(w[mask] / (s * s)))
 
@@ -234,9 +233,8 @@ def three_pass_bounds(x, state, theta, n):
     s_wide = three_pass_wide_count(x, theta, n, state.gamma)
     widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - state.gamma))
     value = three_pass_b_inverse(x, state, theta, n)
-    if not isinstance(value, Divergent):
-        if value < per_term or value < widened:
-            raise ToleranceError("B^-1 partial sum below a lower bound")
+    if value < per_term or value < widened:
+        raise ToleranceError("B^-1 partial sum below a lower bound")
     return BInverseBounds(s_count=s_count, per_term_bound=per_term,
                           widened_bound=widened, b_inverse=value)
 
@@ -301,7 +299,7 @@ class TestOnePassAgainstThreePasses:
         state = _STATES[0]
         x = float(_THETA.values[17])
         bounds = b_lower_bounds(x, state, _THETA, _N)
-        assert bounds.b_inverse == Divergent(pole_index=17)
+        assert bounds.b_inverse == math.inf
         assert bounds == three_pass_bounds(x, state, _THETA, _N)
 
     def test_zero_weight_is_no_pole(self):
@@ -472,6 +470,15 @@ class TestSweepCore:
         with pytest.raises(ValueError, match="x grid repeats the value 2.0"):
             divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.75,
                             [2.0, 3.0, 2.0], [1000, 3000])
+
+    def test_gamma_outside_regime_rejected_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("theta built for a gamma outside (1/2, 1]")
+
+        monkeypatch.setattr(counting_mod, "theta_sequence", fail)
+        with pytest.raises(ValueError, match="outside the divergent regime"):
+            divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.45,
+                            [2.0, 3.0], [1000, 3000])
 
 
 class TestThetaSequenceBridge:

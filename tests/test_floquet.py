@@ -114,6 +114,18 @@ class TestBuildFloquet:
         with pytest.raises(TrivialPerturbationError):
             build_floquet(HARMONIC, rank1_full(8, strength=TWO_PI), 8)
 
+    def test_near_trivial_kick_rejected_before_any_work(self, monkeypatch):
+        import kickspec.floquet as floquet_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("phases built for a no-op kick")
+
+        # |sin(lambda/2)| = 7.5e-13 < POLE_TOL while |mu| = 1.5e-12: the
+        # point-mass rule, not |mu|, decides that the kick is a no-op
+        monkeypatch.setattr(floquet_mod, "theta_sequence", fail)
+        with pytest.raises(TrivialPerturbationError):
+            build_floquet(HARMONIC, rank1_full(8, strength=TWO_PI + 1.5e-12), 8)
+
     def test_dim_cap(self):
         with pytest.raises(ResourceLimitError):
             build_floquet(HARMONIC, rank1_full(8), 5000)

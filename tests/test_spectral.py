@@ -22,7 +22,6 @@ from kickspec.floquet import truncate_state
 from kickspec.rationals import golden_ratio
 from kickspec.spectral import (
     BaseSpectrum,
-    Divergent,
     KickEnsemble,
     KickState,
     ThetaSequence,
@@ -357,9 +356,7 @@ class TestBInverse:
     def test_pole_marker(self):
         state = KickState(coefficients=np.array([1.0 + 0j]))
         theta = ThetaSequence(unit_values=np.array([0.0]))
-        result = b_inverse_partial(0.0, state, theta, 1)
-        assert isinstance(result, Divergent)
-        assert result.pole_index == 0
+        assert b_inverse_partial(0.0, state, theta, 1) == math.inf
 
     def test_two_terms(self):
         value = b_inverse_partial(math.pi / 2, equal_pair_state(),
@@ -389,6 +386,16 @@ class TestBInverse:
         assert len(per_k) == 2
         assert product == pytest.approx(per_k[0] * per_k[1])
 
+    def test_per_kick_pole_beside_empty_prefix(self):
+        # state 0 has a pole at theta_1; state 1 has no weight in n < 2, so
+        # the plain product inf * 0.0 would be nan
+        theta = theta_sequence(BaseSpectrum.harmonic(GOLDEN), 50)
+        ens = orthonormal_ensemble(0.75, 2, 50, [1.0, 1.0])
+        per_k, product = b_inverse_per_kick(float(theta.values[1]), ens,
+                                            theta, 2)
+        assert per_k == (math.inf, 0.0)
+        assert product == math.inf
+
 
 class TestPointMass:
     def test_antipodal_phase(self):
@@ -398,7 +405,7 @@ class TestPointMass:
         assert point_mass(math.pi / 2, 1 / 0.2) == pytest.approx(0.4)
 
     def test_divergent_carries_no_mass(self):
-        assert point_mass(math.pi, Divergent(3)) == 0.0
+        assert point_mass(math.pi, math.inf) == 0.0
 
     def test_trivial_kick_rejected(self):
         with pytest.raises(TrivialPerturbationError):
