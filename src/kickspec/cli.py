@@ -136,15 +136,18 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"needs an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(lower: int):
+    """An argparse type: an integer of at least ``lower``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lower - 1
+        if value < lower:
+            raise argparse.ArgumentTypeError(
+                f"needs an integer of at least {lower}, got {text!r}")
+        return value
+    return parse
 
 
 def _finite_at_least(lower: float):
@@ -356,8 +359,6 @@ def cmd_scount(args) -> int:
     summary = {
         "eta": eta,
         "window": [window.lo, window.hi],
-        "labels": {f"{row[0]:.12g}|{row[1]:.12g}": row[2]
-                   for row in label_rows},
     }
     write_json(out / "summary.json", summary)
     write_manifest(out, "scount", params, __version__,
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, default_out: str):
         p.add_argument("--out", default=default_out,
                        help="output directory (default %(default)s)")
-        p.add_argument("--precision", type=_positive_int, default=None,
+        p.add_argument("--precision", type=_int_at_least(1), default=None,
                        metavar="BITS",
                        help="denominator bits for named constants "
                             "(default: 200 continued-fraction terms)")
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True,
                    help="decimal, p/q, or named constant (golden, sqrt2)")
     p.add_argument("--n-grid", default="1e3:1e6:4")
-    p.add_argument("--m", type=_positive_int, default=64,
+    p.add_argument("--m", type=_int_at_least(1), default=64,
                    help="harmonics in the Erdos-Turan bound")
     common(p, "runs/discrepancy")
     p.set_defaults(func=cmd_discrepancy)
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--beta", required=True)
     p.add_argument("--n-grid", default="1e2:1e5:4")
-    p.add_argument("--h-max", type=_positive_int, default=4)
+    p.add_argument("--h-max", type=_int_at_least(1), default=4)
     p.add_argument("--epsilon", type=_finite_at_least(0.0), default=0.01)
     common(p, "runs/weyl")
     p.set_defaults(func=cmd_weyl)
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--period", default="1",
                        help="kick period T as an exact fraction")
-        p.add_argument("--rank", type=int, default=1,
+        p.add_argument("--rank", type=_int_at_least(0), default=1,
                        help="number of kick states (0 = no kick)")
         p.add_argument("--gamma", type=float, default=0.75)
         p.add_argument("--lambdas", default="1.0",
@@ -498,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_finite_at_least(1.0), default=None,
                    help="irrationality type for the window annotation "
                         "(default: estimated from beta)")
-    p.add_argument("--threads", type=_positive_int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker threads over (gamma, x) pairs")
     common(p, "runs/scount")
     p.set_defaults(func=cmd_scount)

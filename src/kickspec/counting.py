@@ -76,9 +76,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 Variant = Literal["combescure", "bourget"]
 GrowthLabel = Literal["divergent-trend", "bounded", "inconclusive"]
-#: Small exponent shaving of the bourget-variant anchor term, recorded in
-#: ``CountReport.delta``.
-DEFAULT_DELTA = 0.01
 #: Float slack absorbing the rounding between exact reals and float counts.
 _INEQ_SLACK = 1e-12
 #: Most x values ``default_x_grid`` builds (it may try 1000 candidates each).
@@ -98,9 +95,6 @@ class IntervalJ:
 
     center: float
     half_width: float
-    variant: Variant
-    n: int
-    gamma: float
 
     @property
     def lower(self) -> float:
@@ -138,8 +132,7 @@ def make_interval(x: float, n: int, gamma: float,
         raise IntervalRangeError(
             f"interval around {center:.6f} with half-width {half_width:.6f} "
             "spills outside [0, 1)")
-    return IntervalJ(center=center, half_width=half_width, variant=variant,
-                     n=n, gamma=gamma)
+    return IntervalJ(center=center, half_width=half_width)
 
 
 def count_interval(points: Iterable[float], interval: IntervalJ) -> int:
@@ -183,12 +176,11 @@ def _wide_count(dist: np.ndarray, n: int, gamma: float) -> int:
 
 @dataclass(frozen=True)
 class CountReport:
-    """One (x, N) cell of a counting experiment.
+    """One (x, N) cell of a counting experiment: what cells.csv writes after
+    x and gamma.
 
-    ``lhs`` is |A(J_N(x), N) - N*|J_N||, which the discrepancy bounds
-    unconditionally; for the bourget variant ``anchored_lhs`` additionally
-    records |A - 2 N**(2(1-gamma-delta))|, the anchor used by the asymptotic
-    argument (meaningful only at astronomically large N, so never asserted).
+    ``lhs`` is |A(J_N(x), N) - N*|J_N||, which ``rhs`` = N * D_N bounds
+    unconditionally.
     """
 
     n: int
@@ -198,9 +190,6 @@ class CountReport:
     rhs: float
     b_inverse: float
     holds: bool
-    variant: Variant = "combescure"
-    delta: float | None = None
-    anchored_lhs: float | None = None
 
     def __post_init__(self):
         if self.a_count < 0 or self.s_count < 0:
@@ -216,23 +205,17 @@ def _inequality_report(x: float, interval: IntervalJ, points: np.ndarray,
     s_count and b_inverse stay at zero; the sweep fills them from
     b_lower_bounds.
     """
-    n, gamma, variant = interval.n, interval.gamma, interval.variant
+    n = len(points)
     a_count = count_interval(points, interval)
     rhs = n * d_n
     lhs = abs(a_count - n * interval.length)
-    anchored = None
-    if variant == "bourget":
-        anchored = abs(
-            a_count - 2.0 * n ** (2.0 * (1.0 - gamma - DEFAULT_DELTA)))
     holds = lhs <= rhs * (1.0 + _INEQ_SLACK) + _INEQ_SLACK
     if not holds:
         raise ToleranceError(
             f"counting inequality violated at x={x}, N={n}: "
             f"lhs={lhs:.6e} > rhs={rhs:.6e}")
     return CountReport(n=n, a_count=a_count, s_count=0, lhs=lhs, rhs=rhs,
-                       b_inverse=0.0, holds=holds, variant=variant,
-                       delta=DEFAULT_DELTA if variant == "bourget" else None,
-                       anchored_lhs=anchored)
+                       b_inverse=0.0, holds=holds)
 
 
 def inequality_check(x: float, spec: SequenceSpec, gamma: float, n: int,
@@ -319,7 +302,6 @@ class SweepResult:
     n_grid: tuple[int, ...]
     cells: tuple[CellResult, ...]
     labels: dict[tuple[float, float], GrowthLabel]
-    window: GammaWindow | None = None
     window_membership: dict[float, bool] | None = None
 
     def __post_init__(self):
@@ -369,8 +351,12 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
         repeated = [v for v, count in Counter(values).items() if count > 1]
         if repeated:
             raise ValueError(f"{name} grid repeats the value {repeated[0]!r}")
+    # half-widths shrink as N grows: an x that fits at the smallest N fits
+    # at every N, so range and spill errors come before any work
     for gamma in gammas:
         _check_gamma(gamma)
+        for x in xs:
+            make_interval(x, sizes[0], gamma, variant)
     n_max = sizes[-1]
     theta = theta_sequence(_monomial_spectrum(spec), n_max + 1)
     d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
@@ -402,8 +388,7 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     membership = None if window is None else {g: g in window for g in gammas}
     return SweepResult(gamma_grid=gammas, x_grid=xs, n_grid=tuple(sizes),
                        cells=tuple(c for part in per_pair for c in part),
-                       labels=labels, window=window,
-                       window_membership=membership)
+                       labels=labels, window_membership=membership)
 
 
 def divergence_scan(spec: SequenceSpec, gamma: float,

@@ -136,26 +136,19 @@ def _kick_factors(kick_phases) -> np.ndarray:
 
 
 def truncate_state(state: KickState, dim: int) -> KickState:
-    """Fit a kick state to ``dim`` coefficients: cut or zero-pad, renormalise.
-
-    The weight lost to a cut is added to the state's recorded tail so the
-    truncation error stays visible.
-    """
+    """Fit a kick state to ``dim`` coefficients: cut or zero-pad, renormalise."""
     if state.dim == dim:
         return state
     if state.dim < dim:
         coeffs = np.zeros(dim, dtype=np.complex128)
         coeffs[: state.dim] = state.coefficients
-        return KickState(coefficients=coeffs, gamma=state.gamma,
-                         lost_tail=state.lost_tail)
+        return KickState(coefficients=coeffs, gamma=state.gamma)
     coeffs = np.array(state.coefficients[:dim])
     kept = float(np.sum(np.abs(coeffs) ** 2))
     if kept <= 0.0:
         raise EnsembleError("truncation removed all of the state's weight")
     coeffs /= math.sqrt(kept)
-    dropped = float(np.sum(np.abs(state.coefficients[dim:]) ** 2))
-    return KickState(coefficients=coeffs, gamma=state.gamma,
-                     lost_tail=state.lost_tail + dropped)
+    return KickState(coefficients=coeffs, gamma=state.gamma)
 
 
 def perturbation_trace_norm(lambda_over_hbar: float) -> float:

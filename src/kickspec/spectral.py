@@ -19,9 +19,6 @@ makes B^-1(x) = inf, where the point mass B(x)/sin^2(lambda/(2*hbar)) is 0
 (``_b_inverse_sum``); a kick with |sin(lambda/(2*hbar))| < POLE_TOL is a
 no-op (``_kick_sine``); and a power law belongs to the divergent regime
 1/2 < gamma <= 1 (``_check_gamma``).
-The weight a truncation drops from a power-law state is the Hurwitz zeta
-tail zeta(2*gamma, N+1), summed by Euler-Maclaurin in ``_hurwitz_zeta``, so
-numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -184,13 +181,13 @@ def circle_distance(x: float, angles: np.ndarray) -> np.ndarray:
 class KickState:
     """One kick vector as coefficients over the basis of the base spectrum.
 
+    ``gamma`` is the exponent of a power-law state and None otherwise.
     ``support``, the indices of the nonzero coefficients, is derived from
     the coefficients on each access rather than stored.
     """
 
     coefficients: np.ndarray
     gamma: float | None = None
-    lost_tail: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
@@ -219,44 +216,6 @@ class KickState:
         return np.abs(self.coefficients) ** 2
 
 
-# Bernoulli numbers B_2, B_4, ..., B_10 over (2j)!, for the Euler-Maclaurin tail
-_EULER_MACLAURIN = tuple(b / math.factorial(2 * j) for j, b in
-                         enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66), 1))
-
-
-def _hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta sum_{n>=0} (a+n)**(-s) for s > 1 and a > 0.
-
-    Euler-Maclaurin: nine terms summed directly, then at x = a + 9 the
-    integral x**(1-s)/(s-1), the half term x**(-s)/2 and five Bernoulli
-    corrections B_2j/(2j)! * s(s+1)...(s+2j-2) * x**(-s-2j+1).  Relative
-    error below 1e-13 for 1 < s <= 2 and a >= 1.
-    """
-    terms = [(a + n) ** -s for n in range(9)]
-    x = a + 9.0
-    terms += [x ** (1.0 - s) / (s - 1.0), 0.5 * x ** -s]
-    rising, power = s, x ** (-s - 1.0)
-    for j, coeff in enumerate(_EULER_MACLAURIN):
-        terms.append(coeff * rising * power)
-        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
-        power /= x * x
-    return math.fsum(terms)
-
-
-def _progression_tail(support: np.ndarray, gamma: float) -> float:
-    """Unnormalised weight sum n**(-2*gamma) over the continuation of an
-    arithmetic-progression support (sorted indices); zero when no
-    progression is apparent."""
-    if support.size < 2:
-        return 0.0
-    gaps = np.diff(support)
-    if np.any(gaps != gaps[0]):
-        return 0.0
-    stride = int(gaps[0])
-    nxt = int(support[-1]) + stride
-    return stride ** (-2 * gamma) * _hurwitz_zeta(2 * gamma, nxt / stride)
-
-
 def _check_gamma(gamma: float) -> None:
     """Reject an exponent outside the divergent regime (1/2, 1]."""
     if not 0.5 < gamma <= 1.0:
@@ -270,8 +229,6 @@ def power_law_state(gamma: float, dim: int,
     Requires 1/2 < gamma <= 1: square-summable so C exists, but not summable,
     which is the regime where the kicked operator can grow a continuous
     spectral component.  Index 0 is excluded (n**(-gamma) is undefined there).
-    The weight of the discarded power-law tail beyond the truncation is
-    recorded unnormalised in ``lost_tail``.
     """
     _check_gamma(gamma)
     if dim < 2:
@@ -291,8 +248,7 @@ def power_law_state(gamma: float, dim: int,
     norm = 1.0 / math.sqrt(float(np.sum(raw**2)))
     coeffs = np.zeros(dim, dtype=np.complex128)
     coeffs[idx] = norm * raw
-    return KickState(coefficients=coeffs, gamma=gamma,
-                     lost_tail=_progression_tail(idx, gamma))
+    return KickState(coefficients=coeffs, gamma=gamma)
 
 
 def full_support_state(gamma: float, dim: int) -> KickState:
@@ -308,8 +264,7 @@ def full_support_state(gamma: float, dim: int) -> KickState:
         raise ValueError("dim must be at least 2")
     raw = (np.arange(dim) + 1.0) ** (-gamma)
     raw /= math.sqrt(float(np.sum(raw**2)))
-    return KickState(coefficients=raw.astype(np.complex128), gamma=gamma,
-                     lost_tail=_hurwitz_zeta(2 * gamma, dim + 1))
+    return KickState(coefficients=raw.astype(np.complex128), gamma=gamma)
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,6 +97,34 @@ class TestExitCodes:
         assert elapsed < 1.0
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    def test_negative_rank_rejected(self, command, tmp_path, capsys):
+        code = main([command, "--beta", "golden", "--rank", "-1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "--rank: needs an integer of at least 0" in \
+            capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    # checked before the phases are built: theta_sequence is patched to fail
+    @pytest.mark.parametrize("x_grid, message", [
+        ("7.0", "strictly inside (0, 2*pi)"),
+        ("0.001", "spills outside [0, 1)"),
+    ])
+    def test_bad_x_rejected_before_any_work(self, x_grid, message, tmp_path,
+                                            monkeypatch, capsys):
+        import kickspec.counting as counting_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("theta built for an x that cannot be counted")
+
+        monkeypatch.setattr(counting_mod, "theta_sequence", fail)
+        code = main(["scount", "--beta", "golden", "--x-grid", x_grid,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["discrepancy", "--beta", "golden", "--threads", "7"],
         ["weyl", "--beta", "golden", "--threads", "2"],
@@ -473,6 +501,18 @@ class TestScountCommand:
         assert set(manifest["outputs"]) == {"cells.csv", "labels.csv",
                                             "summary.json"}
 
+    def test_close_x_values_keep_their_labels(self, tmp_path):
+        # the two x values agree to 12 significant digits
+        out = tmp_path / "run"
+        code = main(["scount", "--beta", "golden",
+                     "--x-grid", "2.0,2.0000000000001",
+                     "--n-grid", "1e3:1e4:2", "--out", str(out)])
+        assert code == 0
+        labels = read_csv(out / "labels.csv")
+        assert [float(row[0]) for row in labels[1:]] == [2.0, 2.0000000000001]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"eta", "window"}
+
     def test_gamma_grid_default(self, tmp_path):
         flags = ["scount", "--beta", "golden", "--n-grid", "1e3:1e4:2",
                  "--x-count", "2"]
@@ -625,6 +665,17 @@ class TestManifestParams:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["params"] == expected
         assert manifest["hash"] == manifest_hash(expected)
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(kickspec.__file__).resolve().parent.parent))
+        code = ("import kickspec.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestDeterminism:

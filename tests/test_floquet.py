@@ -147,8 +147,6 @@ class TestTruncateState:
         state = full_support_state(0.75, 64)
         cut = truncate_state(state, 16)
         assert np.sum(np.abs(cut.coefficients) ** 2) == pytest.approx(1.0)
-        dropped = float(np.sum(np.abs(state.coefficients[16:]) ** 2))
-        assert cut.lost_tail == pytest.approx(state.lost_tail + dropped)
 
     def test_pads_shorter_states(self):
         state = KickState(coefficients=np.array([1.0 + 0j]))

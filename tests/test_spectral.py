@@ -1,17 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import zeta
-
-import kickspec
 
 from kickspec.errors import (
     EnsembleError,
@@ -34,7 +27,6 @@ from kickspec.spectral import (
     gamma_window,
     orthonormal_ensemble,
     point_mass,
-    _hurwitz_zeta,
     power_law_state,
     theta_sequence,
 )
@@ -159,12 +151,6 @@ class TestPowerLawState:
         with pytest.raises(ValueError):
             power_law_state(0.75, 4, {0, 1})
 
-    def test_tail_recorded_for_progressions(self):
-        st_ = power_law_state(0.75, 100)
-        brute = sum(float(n) ** (-1.5) for n in range(100, 200_000))
-        remainder = 2.0 / math.sqrt(200_000)  # integral tail of n**-1.5
-        assert st_.lost_tail == pytest.approx(brute + remainder, rel=1e-4)
-
     def test_full_support_variant(self):
         st_ = full_support_state(0.75, 8)
         assert (np.abs(st_.coefficients) > 0).all()
@@ -218,21 +204,9 @@ class TestCircleDistance:
                               modulo_distance(2.0, theta.values))
 
 
-def stored_progression_tail(support, gamma):
-    """The lost_tail of a state whose support was a stored tuple of ints."""
-    if len(support) < 2:
-        return 0.0
-    gaps = np.diff(np.asarray(support))
-    if np.any(gaps != gaps[0]):
-        return 0.0
-    stride = int(gaps[0])
-    nxt = support[-1] + stride
-    return stride ** (-2 * gamma) * _hurwitz_zeta(2 * gamma, nxt / stride)
-
-
 class TestDerivedSupport:
-    """``support`` is derived from the coefficients; it and ``lost_tail``
-    equal the values the states stored when support was a field."""
+    """``support`` is derived from the coefficients; it equals the value
+    the states stored when it was a field."""
 
     @pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
     @pytest.mark.parametrize("dim", [2, 3, 50, 1001])
@@ -240,7 +214,6 @@ class TestDerivedSupport:
         state = power_law_state(gamma, dim)
         indices = tuple(range(1, dim))
         assert state.support == indices
-        assert state.lost_tail == stored_progression_tail(indices, gamma)
 
     @pytest.mark.parametrize("support", [{1}, {1, 2}, {3, 1, 2},
                                          range(2, 99, 3), {1, 4, 9, 16}])
@@ -248,12 +221,10 @@ class TestDerivedSupport:
         state = power_law_state(0.75, 100, support)
         indices = tuple(sorted(support))
         assert state.support == indices
-        assert state.lost_tail == stored_progression_tail(indices, 0.75)
 
     def test_full_support(self):
         state = full_support_state(0.75, 64)
         assert state.support == tuple(range(64))
-        assert state.lost_tail == _hurwitz_zeta(1.5, 65)
 
     @pytest.mark.parametrize("dim", [30, 100, 200])
     def test_truncation(self, dim):
@@ -261,8 +232,6 @@ class TestDerivedSupport:
                       power_law_state(0.6, 100, range(1, 100, 4))):
             cut = truncate_state(state, dim)
             assert cut.support == tuple(i for i in state.support if i < dim)
-            dropped = float(np.sum(np.abs(state.coefficients[dim:]) ** 2))
-            assert cut.lost_tail == state.lost_tail + dropped
 
     @pytest.mark.parametrize("n_states", [1, 2, 3])
     def test_orthonormal_ensemble(self, n_states):
@@ -270,49 +239,10 @@ class TestDerivedSupport:
         for k, state in enumerate(ens.states):
             indices = tuple(range(k + 1, 40, n_states))
             assert state.support == indices
-            assert state.lost_tail == stored_progression_tail(indices, 0.75)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="empty support"):
             KickState(coefficients=np.zeros(3, dtype=complex))
-
-
-class TestHurwitzZeta:
-    # s = 2*gamma over the divergent regime, down to within 1e-6 of the pole;
-    # a log-uniform in [1, 1e7], since the truncation error is largest at a = 1
-    @settings(max_examples=400, deadline=None)
-    @given(s=st.one_of(st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
-                       st.floats(min_value=2.0**-52, max_value=1e-6)
-                       .map(lambda d: 1.0 + d)),
-           a=st.floats(min_value=0.0, max_value=7.0).map(lambda e: 10.0**e))
-    @example(s=2.0, a=1.0)
-    @example(s=1.0 + 2.0**-52, a=1.0)
-    def test_matches_scipy(self, s, a):
-        assert _hurwitz_zeta(s, a) == pytest.approx(zeta(s, a), rel=1e-13, abs=0)
-
-    @pytest.mark.parametrize("gamma", [0.5 + 1e-7, 0.6, 0.75, 1.0])
-    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
-    def test_progression_tails_match_scipy(self, gamma, stride):
-        for state in orthonormal_ensemble(gamma, stride, 50, [1.0] * stride).states:
-            nxt = state.support[-1] + stride
-            expected = stride ** (-2 * gamma) * zeta(2 * gamma, nxt / stride)
-            assert state.lost_tail == pytest.approx(expected, rel=1e-13, abs=0)
-
-    @pytest.mark.parametrize("gamma", [0.5 + 1e-7, 0.6, 0.75, 1.0])
-    @pytest.mark.parametrize("dim", [2, 64, 4096])
-    def test_full_support_tail_matches_scipy(self, gamma, dim):
-        state = full_support_state(gamma, dim)
-        assert state.lost_tail == pytest.approx(zeta(2 * gamma, dim + 1),
-                                                rel=1e-13, abs=0)
-
-    def test_cli_import_loads_no_scipy(self):
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(kickspec.__file__).resolve().parent.parent))
-        code = ("import kickspec.cli, sys; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
 
 
 class TestEnsemble:
