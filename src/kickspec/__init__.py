@@ -16,7 +16,6 @@ Three layers:
 from .counting import (
     MAX_X_COUNT,
     BInverseBounds,
-    CellResult,
     CountReport,
     IntervalJ,
     SweepResult,
@@ -27,7 +26,6 @@ from .counting import (
     default_x_grid,
     divergence_scan,
     gamma_sweep,
-    inequality_check,
     make_interval,
 )
 from .equidistribution import (

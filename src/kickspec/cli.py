@@ -26,7 +26,6 @@ from .counting import default_x_grid, gamma_sweep
 from .equidistribution import (
     ET_SIZE_FLOOR,
     MAX_ET_PRODUCTS,
-    DiscrepancyReport,
     SequenceSpec,
     classical_exponent,
     conjectured_exponent,
@@ -218,11 +217,11 @@ def cmd_discrepancy(args) -> int:
     bounds = erdos_turan_bounds(points, grid, args.m)
     rows = []
     for n, et_bound in zip(grid, bounds):
-        # building the full report re-validates d_n <= et_bound on every run
-        rep = DiscrepancyReport(n_points=n,
-                                d_n=discrepancy_exact(points[:n]).d_n,
-                                et_bound=et_bound)
-        rows.append((rep.n_points, rep.d_n, rep.et_bound))
+        d_n = discrepancy_exact(points[:n]).d_n
+        if d_n > et_bound:
+            raise ToleranceError(f"Erdos-Turan bound {et_bound:.6e} below "
+                                 f"D_N = {d_n:.6e} at N={n}")
+        rows.append((n, d_n, et_bound))
     slope = _log_log_slope(rows)
     table = ResultTable(columns=("N", "D_N", "ET_bound"), rows=tuple(rows))
     out = Path(args.out)
@@ -326,28 +325,22 @@ def cmd_scount(args) -> int:
               "precision": args.precision}
     # the cache key covers the code version; the manifest hash does not
     key = manifest_hash({"params": params, "version": __version__})
+    window = gamma_window(args.j, eta)
     out = Path(args.out)
     cache = CellCache(out / ".cache")
     cached = cache.get(key)
     if not (isinstance(cached, dict) and {"cells", "labels"} <= cached.keys()):
-        sweep = gamma_sweep(args.j, eta, beta, gammas, xs, grid,
+        sweep = gamma_sweep(args.j, beta, gammas, xs, grid,
                             variant=args.variant, threads=args.threads)
-        cell_rows = []
-        for cell in sweep.cells:
-            rep = cell.report
-            cell_rows.append([cell.x, cell.gamma, rep.n, rep.a_count,
-                              rep.s_count, rep.lhs, rep.rhs, rep.b_inverse,
-                              int(rep.holds)])
-        label_rows = []
-        for gamma in gammas:
-            for x in xs:
-                label_rows.append([x, gamma, sweep.labels[(x, gamma)],
-                                   int(sweep.window_membership[gamma])])
+        cell_rows = [[rep.x, rep.gamma, rep.n, rep.a_count, rep.s_count,
+                      rep.lhs, rep.rhs, rep.b_inverse, int(rep.holds)]
+                     for rep in sweep.cells]
+        label_rows = [[x, gamma, sweep.labels[(x, gamma)], int(gamma in window)]
+                      for gamma in gammas for x in xs]
         cache.put(key, {"cells": cell_rows, "labels": label_rows})
     else:
         cell_rows = cached["cells"]
         label_rows = cached["labels"]
-    window = gamma_window(args.j, eta)
 
     write_csv(out / "cells.csv", ResultTable(
         columns=("x_rad", "gamma", "N", "a_count", "s_count", "lhs", "rhs",

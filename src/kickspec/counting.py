@@ -15,12 +15,12 @@ the discrepancy, and is asserted in every sweep cell.
 
 ``divergence_scan`` and ``gamma_sweep`` share one sweep core.  It builds the
 phases theta_n, the exact D_N for every grid size and one window state per
-gamma once for the whole sweep, and evaluates each cell with the same
-inequality code as ``inequality_check`` plus one ``b_lower_bounds`` call,
-which also supplies #S(x).  ``b_lower_bounds`` makes one distance pass per
-cell: it computes |a_n| and the circle distances of the prefix once and
-derives #S(x), the widened count and the B^-1 partial sum from them.  Each
-of those formulas has one private home (``_s_count``, ``_wide_count`` and
+gamma once for the whole sweep, and builds each cell's ``CountReport`` in
+one step, from the inequality sides and one ``b_lower_bounds`` call, which
+also supplies #S(x).  ``b_lower_bounds`` makes one distance pass per cell:
+it computes |a_n| and the circle distances of the prefix once and derives
+#S(x), the widened count and the B^-1 partial sum from them.  Each of those
+formulas has one private home (``_s_count``, ``_wide_count`` and
 ``spectral._b_inverse_sum``); ``count_set_S``, ``count_set_bourget`` and
 ``b_inverse_partial`` are single-quantity views of the same helpers.
 
@@ -32,24 +32,22 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .equidistribution import SequenceSpec, discrepancy_exact, sequence_points
+from .equidistribution import SequenceSpec, discrepancy_exact
 from .errors import IntervalRangeError, ResourceLimitError, ToleranceError
 from .rationals import RationalApprox, golden_ratio
 from .spectral import (
     BaseSpectrum,
-    GammaWindow,
     KickState,
     ThetaSequence,
     _b_inverse_sum,
     _check_gamma,
     _check_prefix,
     circle_distance,
-    gamma_window,
     power_law_state,
     theta_sequence,
 )
@@ -59,14 +57,12 @@ __all__ = [
     "IntervalJ",
     "CountReport",
     "BInverseBounds",
-    "CellResult",
     "SweepResult",
     "make_interval",
     "count_interval",
     "count_set_S",
     "count_set_bourget",
     "bourget_half_width",
-    "inequality_check",
     "b_lower_bounds",
     "divergence_scan",
     "gamma_sweep",
@@ -176,13 +172,15 @@ def _wide_count(dist: np.ndarray, n: int, gamma: float) -> int:
 
 @dataclass(frozen=True)
 class CountReport:
-    """One (x, N) cell of a counting experiment: what cells.csv writes after
-    x and gamma.
+    """One (x, gamma, N) sweep cell: a cells.csv row, fields in column order.
 
     ``lhs`` is |A(J_N(x), N) - N*|J_N||, which ``rhs`` = N * D_N bounds
-    unconditionally.
+    unconditionally; a violation raises ToleranceError, so ``holds`` is True
+    in every report.
     """
 
+    x: float
+    gamma: float
     n: int
     a_count: int
     s_count: int
@@ -198,39 +196,22 @@ class CountReport:
             raise ValueError("counts cannot exceed the number of terms")
 
 
-def _inequality_report(x: float, interval: IntervalJ, points: np.ndarray,
-                       d_n: float) -> CountReport:
-    """The inequality side of one (x, N) cell, on the first N sequence points.
+def _inequality_sides(x: float, interval: IntervalJ, points: np.ndarray,
+                      d_n: float) -> tuple[int, float, float]:
+    """(A, lhs, rhs) of |A(J_N(x), N) - N*|J_N|| <= N * D_N on N points.
 
-    s_count and b_inverse stay at zero; the sweep fills them from
-    b_lower_bounds.
+    The exact discrepancy makes the inequality unconditional; a violation
+    beyond float slack is a ToleranceError, not a data point.
     """
     n = len(points)
     a_count = count_interval(points, interval)
     rhs = n * d_n
     lhs = abs(a_count - n * interval.length)
-    holds = lhs <= rhs * (1.0 + _INEQ_SLACK) + _INEQ_SLACK
-    if not holds:
+    if not lhs <= rhs * (1.0 + _INEQ_SLACK) + _INEQ_SLACK:
         raise ToleranceError(
             f"counting inequality violated at x={x}, N={n}: "
             f"lhs={lhs:.6e} > rhs={rhs:.6e}")
-    return CountReport(n=n, a_count=a_count, s_count=0, lhs=lhs, rhs=rhs,
-                       b_inverse=0.0, holds=holds)
-
-
-def inequality_check(x: float, spec: SequenceSpec, gamma: float, n: int,
-                     variant: Variant = "combescure") -> CountReport:
-    """Verify |A(J_N(x), N) - N*|J_N|| <= N * D_N on the sequence (n**j beta).
-
-    The exact discrepancy makes the inequality unconditional; a violation
-    beyond float slack is a ToleranceError, not a data point.  The returned
-    report carries only the inequality sides; s_count and b_inverse stay at
-    zero here (they are filled by the sweep cells, which know the window
-    state and run this same evaluation on shared points and discrepancies).
-    """
-    interval = make_interval(x, n, gamma, variant)
-    pts = sequence_points(spec, n)
-    return _inequality_report(x, interval, pts, discrepancy_exact(pts).d_n)
+    return a_count, lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -281,13 +262,6 @@ def b_lower_bounds(x: float, state: KickState, theta: ThetaSequence,
 
 
 @dataclass(frozen=True)
-class CellResult:
-    x: float
-    gamma: float
-    report: CountReport
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Per-cell reports plus growth labels of a divergence scan.
 
@@ -300,9 +274,8 @@ class SweepResult:
     gamma_grid: tuple[float, ...]
     x_grid: tuple[float, ...]
     n_grid: tuple[int, ...]
-    cells: tuple[CellResult, ...]
+    cells: tuple[CountReport, ...]
     labels: dict[tuple[float, float], GrowthLabel]
-    window_membership: dict[float, bool] | None = None
 
     def __post_init__(self):
         expected = len(self.gamma_grid) * len(self.x_grid) * len(self.n_grid)
@@ -313,7 +286,7 @@ class SweepResult:
             raise ValueError("need one growth label per (x, gamma) pair")
 
     def counts(self, x: float, gamma: float) -> tuple[int, ...]:
-        return tuple(c.report.s_count for c in self.cells
+        return tuple(c.s_count for c in self.cells
                      if c.x == x and c.gamma == gamma)
 
 
@@ -336,7 +309,7 @@ def _monomial_spectrum(spec: SequenceSpec) -> BaseSpectrum:
 
 def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
            x_grid: Sequence[float], n_grid: Sequence[int], variant: Variant,
-           threads: int, window: GammaWindow | None = None) -> SweepResult:
+           threads: int) -> SweepResult:
     """The one sweep core: cells in (gamma, x, N) order, one label per pair.
 
     theta, the per-N discrepancies and one window state per gamma are built
@@ -362,17 +335,18 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
     states = {gamma: power_law_state(gamma, n_max + 1) for gamma in gammas}
 
-    def scan(pair: tuple[float, float]) -> list[CellResult]:
+    def scan(pair: tuple[float, float]) -> list[CountReport]:
         gamma, x = pair
         cells = []
         for n in sizes:
-            report = _inequality_report(
+            a_count, lhs, rhs = _inequality_sides(
                 x, make_interval(x, n, gamma, variant),
                 theta.unit_values[1:n + 1], d_by_n[n])
             bounds = b_lower_bounds(x, states[gamma], theta, n + 1)
-            report = replace(report, s_count=bounds.s_count,
-                             b_inverse=bounds.b_inverse)
-            cells.append(CellResult(x=x, gamma=gamma, report=report))
+            cells.append(CountReport(
+                x=x, gamma=gamma, n=n, a_count=a_count,
+                s_count=bounds.s_count, lhs=lhs, rhs=rhs,
+                b_inverse=bounds.b_inverse, holds=True))
         return cells
 
     pairs = [(gamma, x) for gamma in gammas for x in xs]
@@ -383,12 +357,11 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
             per_pair = list(pool.map(scan, pairs))
     else:
         per_pair = [scan(pair) for pair in pairs]
-    labels = {(x, gamma): _growth_label([c.report.s_count for c in part])
+    labels = {(x, gamma): _growth_label([c.s_count for c in part])
               for (gamma, x), part in zip(pairs, per_pair)}
-    membership = None if window is None else {g: g in window for g in gammas}
     return SweepResult(gamma_grid=gammas, x_grid=xs, n_grid=tuple(sizes),
                        cells=tuple(c for part in per_pair for c in part),
-                       labels=labels, window_membership=membership)
+                       labels=labels)
 
 
 def divergence_scan(spec: SequenceSpec, gamma: float,
@@ -407,24 +380,22 @@ def divergence_scan(spec: SequenceSpec, gamma: float,
     return _sweep(spec, (gamma,), x_grid, n_grid, variant, threads)
 
 
-def gamma_sweep(j: int, eta_estimate: float, beta: RationalApprox,
-                gamma_grid: Sequence[float], x_grid: Sequence[float],
-                n_grid: Sequence[int],
+def gamma_sweep(j: int, beta: RationalApprox, gamma_grid: Sequence[float],
+                x_grid: Sequence[float], n_grid: Sequence[int],
                 variant: Variant = "combescure",
                 threads: int = 1) -> SweepResult:
-    """Run divergence scans across an exponent grid, annotated with the
-    window (1/2, 1/2 + 1/(2*eta*j)) membership of each gamma.
+    """Run divergence scans of (n**j beta) across an exponent grid.
 
     theta and the per-N discrepancies depend only on (j, beta, max N), so
     they are built once for the whole grid, with one window state per gamma;
     the thread pool maps over (gamma, x) pairs and cells come back in
-    (gamma, x, N) order.  The window marks where the counting argument
-    forces divergence; outside it the labels are reported without any
-    assertion (that regime depends on the unproven Weyl-sum exponent).
+    (gamma, x, N) order.  No label is asserted: the counting argument forces
+    divergence only inside ``spectral.gamma_window``, and the regime outside
+    it depends on the unproven Weyl-sum exponent.
     """
     return _sweep(SequenceSpec(j=j, beta=beta),
                   tuple(float(g) for g in gamma_grid), x_grid, n_grid,
-                  variant, threads, window=gamma_window(j, eta_estimate))
+                  variant, threads)
 
 
 def default_x_grid(count: int, n_min: int, gamma: float,

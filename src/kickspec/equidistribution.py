@@ -79,20 +79,16 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Extreme discrepancy of a finite point set, optionally with its
-    Erdos-Turan upper bound."""
+    """Extreme discrepancy ``d_n`` of a set of ``n_points`` points."""
 
     n_points: int
     d_n: float
-    et_bound: float | None = None
 
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError("report needs at least one point")
         if not 0.0 < self.d_n <= 1.0:
             raise ValueError(f"discrepancy {self.d_n} outside (0, 1]")
-        if self.et_bound is not None and self.d_n > self.et_bound:
-            raise ValueError("Erdos-Turan bound below the exact discrepancy")
 
 
 def sequence_points(spec: SequenceSpec, n_terms: int) -> np.ndarray:

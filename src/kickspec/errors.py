@@ -16,9 +16,9 @@ class IntervalRangeError(ValueError):
 class PoleError(ValueError):
     """An evaluation point coincides with an eigenphase pole."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"evaluation point hits the pole at index {index}")
+        super().__init__(f"evaluation point hits the pole at index {index}")
 
 
 class TrivialPerturbationError(ValueError):

@@ -236,7 +236,7 @@ def criterion8_sweeps():
     sweeps = {}
     xs = default_x_grid(5, n_min=1000, gamma=0.6)
     for j in (1, 2):
-        sweeps[j] = gamma_sweep(j, 1.0, GOLDEN, [0.6, 0.75], xs,
+        sweeps[j] = gamma_sweep(j, GOLDEN, [0.6, 0.75], xs,
                                 [1000, 10_000, 100_000])
     return sweeps, time.time() - started
 
@@ -247,8 +247,8 @@ def test_criterion_08_counting_inequality(criterion8_sweeps):
     cells = 0
     for j, sweep in sweeps.items():
         for cell in sweep.cells:
-            assert cell.report.holds
-            assert cell.report.lhs <= cell.report.rhs * (1 + 1e-9) + 1e-9
+            assert cell.holds
+            assert cell.lhs <= cell.rhs * (1 + 1e-9) + 1e-9
             cells += 1
     report(8, True, f"|A - N|J|| <= N*D_N in every of {cells} cells "
                     f"(j in {{1,2}}, gamma in {{0.6,0.75}}, N <= 1e5)",
@@ -261,9 +261,9 @@ def test_criterion_09_b_inverse_lower_bounds(criterion8_sweeps):
     cells = 0
     for j, sweep in sweeps.items():
         for cell in sweep.cells:
-            b_inv = cell.report.b_inverse
+            b_inv = cell.b_inverse
             assert isinstance(b_inv, float)
-            assert b_inv >= 4.0 * cell.report.s_count
+            assert b_inv >= 4.0 * cell.s_count
             cells += 1
     report(9, True, f"B^-1 partial sum >= 4*#S(x) in every of {cells} "
                     f"sweep cells", started, budget_s=120)

@@ -249,6 +249,20 @@ class TestExitCodes:
         assert main(["discrepancy", "--beta", "golden", "--n-grid", "1,2,3",
                      "--m", "10000", "--out", str(tmp_path / "small")]) == 0
 
+    def test_erdos_turan_bound_below_d_n(self, tmp_path, monkeypatch,
+                                         capsys):
+        import kickspec.cli as cli_mod
+
+        # an upper bound below the exact D_N is a numerical failure, not a
+        # usage error
+        monkeypatch.setattr(cli_mod, "erdos_turan_bounds",
+                            lambda points, grid, m: [1e-9] * len(grid))
+        code = main(["discrepancy", "--beta", "golden", "--n-grid",
+                     "1e3:1e4:2", "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "numerical tolerance violated" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     # --epsilon must be finite and >= 0, --eta finite and >= 1
     @pytest.mark.parametrize("argv", [
         *(["weyl", "--n-grid", "1e2:1e5:3", "--epsilon", value]
@@ -526,6 +540,19 @@ class TestScountCommand:
         assert params[0]["gamma_grid"] == [0.75]
         assert (runs[0] / "cells.csv").read_bytes() == \
             (runs[1] / "cells.csv").read_bytes()
+
+    def test_inside_window_column(self, tmp_path):
+        # j = 2, eta = 1: the open window is (0.5, 0.75), so its upper end
+        # 0.75 lies outside
+        out = tmp_path / "run"
+        code = main(["scount", "--j", "2", "--beta", "golden", "--eta", "1",
+                     "--gamma-grid", "0.6,0.75,0.9", "--n-grid", "1e3:1e4:2",
+                     "--x-count", "2", "--out", str(out)])
+        assert code == 0
+        inside = {}
+        for row in read_csv(out / "labels.csv")[1:]:
+            inside.setdefault(row[1], set()).add(row[3])
+        assert inside == {"0.6": {"1"}, "0.75": {"0"}, "0.9": {"0"}}
 
     def test_outside_window_annotation(self, tmp_path):
         out = tmp_path / "run"

@@ -17,10 +17,13 @@ from kickspec.counting import (
     default_x_grid,
     divergence_scan,
     gamma_sweep,
-    inequality_check,
     make_interval,
 )
-from kickspec.equidistribution import SequenceSpec, sequence_points
+from kickspec.equidistribution import (
+    SequenceSpec,
+    discrepancy_exact,
+    sequence_points,
+)
 from kickspec.errors import IntervalRangeError, ResourceLimitError, ToleranceError
 from kickspec.rationals import RationalApprox, golden_ratio
 from kickspec.spectral import (
@@ -133,11 +136,17 @@ class TestCountSetS:
             pytest.approx(0.2)
 
 
+def first_cell(spec, n, variant="combescure"):
+    """The (x = pi, gamma = 0.75, N = n) cell of a two-size scan."""
+    return divergence_scan(spec, 0.75, [math.pi], [n, 2 * n],
+                           variant=variant).cells[0]
+
+
 class TestInequalityCheck:
     def test_hand_counted_quarter_cycle(self):
         # beta = 1/4: points cycle 1/4, 1/2, 3/4, 0; J = [0.375, 0.625)
         spec = SequenceSpec(j=1, beta=RationalApprox(1, 4))
-        report = inequality_check(math.pi, spec, 0.75, 16)
+        report = first_cell(spec, 16)
         assert report.a_count == 4  # the four points at 1/2
         assert report.lhs == pytest.approx(0.0, abs=1e-12)
         assert report.rhs == pytest.approx(16 * 0.25, abs=1e-12)
@@ -145,20 +154,20 @@ class TestInequalityCheck:
     def test_hand_counted_third_cycle(self):
         # beta = 1/3: no point ever lands inside [0.375, 0.625)
         spec = SequenceSpec(j=1, beta=RationalApprox(1, 3))
-        report = inequality_check(math.pi, spec, 0.75, 16)
+        report = first_cell(spec, 16)
         assert report.a_count == 0
         assert report.lhs == pytest.approx(2 * 16 ** 0.25, abs=1e-12)
         assert report.holds
 
     def test_golden_large(self):
         spec = SequenceSpec(j=1, beta=GOLDEN)
-        report = inequality_check(math.pi, spec, 0.75, 4096)
+        report = first_cell(spec, 4096)
         assert report.holds
         assert report.lhs <= report.rhs
 
-    def test_bourget_variant_records_anchor(self):
+    def test_bourget_variant(self):
         spec = SequenceSpec(j=2, beta=GOLDEN)
-        report = inequality_check(math.pi, spec, 0.75, 512, variant="bourget")
+        report = first_cell(spec, 512, variant="bourget")
         assert report.holds
 
 
@@ -375,30 +384,22 @@ class TestDivergenceScan:
         xs = default_x_grid(3, n_min=1000, gamma=0.6)
         sweep = divergence_scan(spec, 0.6, xs, [1000, 10_000])
         for cell in sweep.cells:
-            assert cell.report.holds
-            assert cell.report.lhs <= cell.report.rhs * (1 + 1e-9) + 1e-9
+            assert cell.holds
+            assert cell.lhs <= cell.rhs * (1 + 1e-9) + 1e-9
 
 
 class TestGammaSweep:
-    def test_window_annotation(self):
-        sweep = gamma_sweep(2, 1.0, GOLDEN, [0.6, 0.9],
-                            default_x_grid(2, n_min=1000, gamma=0.6),
-                            [1000, 10_000])
-        assert sweep.window_membership[0.6] is True   # inside (0.5, 0.75)
-        assert sweep.window_membership[0.9] is False  # outside
-
     def test_gamma_grid_validation(self):
         with pytest.raises(ValueError):
-            gamma_sweep(1, 1.0, GOLDEN, [0.4], [1.0], [100, 1000])
+            gamma_sweep(1, GOLDEN, [0.4], [1.0], [100, 1000])
 
     def test_j1_window_covers_standard_range(self):
         # gamma near 1 grows like N**(1-gamma) per decade, too slowly for the
         # doubling label on short grids, so only solidly-divergent exponents
-        # are asserted here; gamma = 0.95 keeps its window annotation
+        # are asserted here
         xs = default_x_grid(2, n_min=1000, gamma=0.55)
-        sweep = gamma_sweep(1, 1.0, GOLDEN, [0.55, 0.75, 0.95], xs,
+        sweep = gamma_sweep(1, GOLDEN, [0.55, 0.75, 0.95], xs,
                             [1000, 10_000, 100_000])
-        assert all(sweep.window_membership.values())
         for gamma in (0.55, 0.75):
             for x in xs:
                 assert sweep.labels[(x, gamma)] == "divergent-trend"
@@ -407,9 +408,8 @@ class TestGammaSweep:
         # the endpoint gamma = 1 runs (it is square-summable) but sits
         # outside the open window, so no growth assertion applies
         xs = default_x_grid(2, n_min=1000, gamma=1.0)
-        sweep = gamma_sweep(1, 1.0, GOLDEN, [1.0], xs, [1000, 10_000])
-        assert sweep.window_membership[1.0] is False
-        assert all(cell.report.holds for cell in sweep.cells)
+        sweep = gamma_sweep(1, GOLDEN, [1.0], xs, [1000, 10_000])
+        assert all(cell.holds for cell in sweep.cells)
 
 
 class TestSweepCore:
@@ -428,7 +428,7 @@ class TestSweepCore:
                             counted("d_n", counting_mod.discrepancy_exact))
         n_grid = [1000, 3000, 10_000]
         xs = default_x_grid(3, n_min=1000, gamma=0.6)
-        sweep = gamma_sweep(1, 1.0, GOLDEN, [0.6, 0.75, 0.9], xs, n_grid,
+        sweep = gamma_sweep(1, GOLDEN, [0.6, 0.75, 0.9], xs, n_grid,
                             threads=2)
         assert len(sweep.cells) == 3 * len(xs) * len(n_grid)
         assert calls == {"theta": 1, "d_n": len(n_grid)}
@@ -440,7 +440,7 @@ class TestSweepCore:
         n_grid = [500, 2000]
         xs = default_x_grid(2, n_min=n_grid[0], gamma=min(gammas),
                             variant=variant)
-        sweep = gamma_sweep(j, 1.0, GOLDEN, gammas, xs, n_grid,
+        sweep = gamma_sweep(j, GOLDEN, gammas, xs, n_grid,
                             variant=variant, threads=2)
         spec = SequenceSpec(j=j, beta=GOLDEN)
         base = BaseSpectrum(
@@ -449,14 +449,17 @@ class TestSweepCore:
         states = {g: power_law_state(g, n_grid[-1] + 1) for g in gammas}
         assert len(sweep.cells) == len(gammas) * len(xs) * len(n_grid)
         for cell in sweep.cells:
-            rep, n = cell.report, cell.report.n
-            ref = inequality_check(cell.x, spec, cell.gamma, n, variant)
-            assert (rep.a_count, rep.lhs, rep.rhs) == \
-                (ref.a_count, ref.lhs, ref.rhs)
+            n = cell.n
+            pts = sequence_points(spec, n)
+            interval = make_interval(cell.x, n, cell.gamma, variant)
+            a_count = count_interval(pts, interval)
+            assert (cell.a_count, cell.lhs, cell.rhs) == \
+                (a_count, abs(a_count - n * interval.length),
+                 n * discrepancy_exact(pts).d_n)
             state = states[cell.gamma]
-            assert rep.s_count == count_set_S(cell.x, state, theta, n + 1)
-            assert rep.b_inverse == b_inverse_partial(cell.x, state, theta,
-                                                      n + 1)
+            assert cell.s_count == count_set_S(cell.x, state, theta, n + 1)
+            assert cell.b_inverse == b_inverse_partial(cell.x, state, theta,
+                                                       n + 1)
 
     def test_repeated_x_rejected_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -143,7 +143,7 @@ class TestBuildFloquet:
 
 
 class TestTruncateState:
-    def test_renormalises_and_records_tail(self):
+    def test_renormalises(self):
         state = full_support_state(0.75, 64)
         cut = truncate_state(state, 16)
         assert np.sum(np.abs(cut.coefficients) ** 2) == pytest.approx(1.0)
