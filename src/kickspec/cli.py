@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="irrationality type for the window annotation "
                         "(default: estimated from beta)")
     p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker threads over (gamma, x) pairs")
+                   help="worker threads over x values")
     common(p, "runs/scount")
     p.set_defaults(func=cmd_scount)
 

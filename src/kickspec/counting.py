@@ -14,15 +14,16 @@ Interval counts A(J_N(x), N) are tied to the exact discrepancy through
 the discrepancy, and is asserted in every sweep cell.
 
 ``divergence_scan`` and ``gamma_sweep`` share one sweep core.  It builds the
-phases theta_n, the exact D_N for every grid size and one window state per
-gamma once for the whole sweep, and builds each cell's ``CountReport`` in
-one step, from the inequality sides and one ``b_lower_bounds`` call, which
-also supplies #S(x).  ``b_lower_bounds`` makes one distance pass per cell:
-it computes |a_n| and the circle distances of the prefix once and derives
-#S(x), the widened count and the B^-1 partial sum from them.  Each of those
-formulas has one private home (``_s_count``, ``_wide_count`` and
+phases theta_n, the exact D_N for every grid size and the amplitudes |a_n|
+of one window state per gamma once for the whole sweep.  Each x then takes
+one ``circle_view``: the circle distances to every phase and
+sin^2(d_n/2), computed once and read by every (gamma, N) cell of that x.
+A cell's ``CountReport`` is built in one step, from the inequality sides
+and one ``b_lower_bounds`` call on prefixes of that view, which derives
+#S(x), the widened count and the B^-1 partial sum.  Each of those formulas
+has one private home (``_s_count``, ``_wide_count`` and
 ``spectral._b_inverse_sum``); ``count_set_S``, ``count_set_bourget`` and
-``b_inverse_partial`` are single-quantity views of the same helpers.
+``b_inverse_partial`` are single-cell views of the same helpers.
 
 Distances are circular on [0, 2*pi): plain absolute differences undercount
 near the wrap-around, and eigenphases live on the circle.
@@ -42,12 +43,14 @@ from .errors import IntervalRangeError, ResourceLimitError, ToleranceError
 from .rationals import RationalApprox, golden_ratio
 from .spectral import (
     BaseSpectrum,
+    CircleView,
     KickState,
     ThetaSequence,
     _b_inverse_sum,
     _check_gamma,
     _check_prefix,
     circle_distance,
+    circle_view,
     power_law_state,
     theta_sequence,
 )
@@ -144,7 +147,7 @@ def count_set_S(x: float, state: KickState, theta: ThetaSequence,
     Uses the state's actual (normalised) coefficients as the per-index
     window; indices with a_m = 0 can never qualify.
     """
-    _check_prefix(n, state, theta)
+    _check_prefix(n, min(state.dim, len(theta)))
     return _s_count(np.abs(state.coefficients[:n]),
                     circle_distance(x, theta.values[:n]))
 
@@ -224,32 +227,33 @@ class BInverseBounds:
     b_inverse: float
 
 
-def b_lower_bounds(x: float, state: KickState, theta: ThetaSequence,
+def b_lower_bounds(view: CircleView, amplitudes: np.ndarray, gamma: float,
                    n: int) -> BInverseBounds:
     """Evaluate both lower bounds and assert the partial sum dominates them.
+
+    ``view`` is the ``circle_view`` of x over the phases and ``amplitudes``
+    are |a_n| of a power-law state with exponent ``gamma``; the cell reads
+    the first ``n`` entries of each, so one view and one amplitude vector
+    serve every prefix.  #S(x), the widened count and the partial sum all
+    come from those prefixes.
 
     The per-term bound 4#S(x) is coefficient-agnostic: every counted index
     contributes at least 4 because |a_m| / dist >= 1 and sin(u) <= u.  The
     widened bound follows the same substitution with the N-dependent window;
     its textbook constant 1/pi**2 assumes coefficients of size n**(-gamma)
     without the normalisation constant, which desk-scale margins absorb.
-
-    |a_m| and the circle distances of the prefix are computed once and
-    serve #S(x), the widened count and the partial sum alike.
     """
-    if state.gamma is None:
-        raise ValueError("the widened bound needs a power-law state (gamma)")
-    _check_prefix(n, state, theta)
+    _check_gamma(gamma)
+    _check_prefix(n, min(amplitudes.size, view.dist.size))
     if n < 3:
         raise ValueError("bourget window needs n >= 3")
-    amplitudes = np.abs(state.coefficients[:n])
-    dist = circle_distance(x, theta.values[:n])
+    amplitudes = amplitudes[:n]
+    dist = view.dist[:n]
     s_count = _s_count(amplitudes, dist)
     per_term = 4.0 * s_count
-    s_wide = _wide_count(dist, n, state.gamma)
-    widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - state.gamma))
-    # the counts are done with |a_m|: square it in place into the weights
-    value = _b_inverse_sum(np.square(amplitudes, out=amplitudes), dist)
+    s_wide = _wide_count(dist, n, gamma)
+    widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - gamma))
+    value = _b_inverse_sum(np.square(amplitudes), dist, view.sin2[:n])
     # a weighted pole gives inf, which passes both comparisons
     if value < per_term:
         raise ToleranceError(
@@ -312,8 +316,10 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
            threads: int) -> SweepResult:
     """The one sweep core: cells in (gamma, x, N) order, one label per pair.
 
-    theta, the per-N discrepancies and one window state per gamma are built
-    once; each (gamma, x) pair is then pure work on those immutable arrays.
+    theta, the per-N discrepancies and the amplitudes |a_n| of one window
+    state per gamma are built once.  Each x is then pure work on those
+    immutable arrays: one ``circle_view`` over all N_max + 1 phases serves
+    every (gamma, N) cell of that x, so the pool maps over x values.
     """
     sizes = sorted(int(n) for n in n_grid)
     if len(sizes) < 2:
@@ -333,35 +339,37 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     n_max = sizes[-1]
     theta = theta_sequence(_monomial_spectrum(spec), n_max + 1)
     d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
-    states = {gamma: power_law_state(gamma, n_max + 1) for gamma in gammas}
+    amplitudes = {gamma: np.abs(power_law_state(gamma, n_max + 1).coefficients)
+                  for gamma in gammas}
 
-    def scan(pair: tuple[float, float]) -> list[CountReport]:
-        gamma, x = pair
-        cells = []
-        for n in sizes:
-            a_count, lhs, rhs = _inequality_sides(
-                x, make_interval(x, n, gamma, variant),
-                theta.unit_values[1:n + 1], d_by_n[n])
-            bounds = b_lower_bounds(x, states[gamma], theta, n + 1)
-            cells.append(CountReport(
-                x=x, gamma=gamma, n=n, a_count=a_count,
-                s_count=bounds.s_count, lhs=lhs, rhs=rhs,
-                b_inverse=bounds.b_inverse, holds=True))
-        return cells
+    def cell(x: float, view: CircleView, gamma: float, n: int) -> CountReport:
+        a_count, lhs, rhs = _inequality_sides(
+            x, make_interval(x, n, gamma, variant),
+            theta.unit_values[1:n + 1], d_by_n[n])
+        bounds = b_lower_bounds(view, amplitudes[gamma], gamma, n + 1)
+        return CountReport(x=x, gamma=gamma, n=n, a_count=a_count,
+                           s_count=bounds.s_count, lhs=lhs, rhs=rhs,
+                           b_inverse=bounds.b_inverse, holds=True)
 
-    pairs = [(gamma, x) for gamma in gammas for x in xs]
-    if threads > 1 and len(pairs) > 1:
+    def scan(x: float) -> dict[float, list[CountReport]]:
+        view = circle_view(x, theta.values)
+        return {gamma: [cell(x, view, gamma, n) for n in sizes]
+                for gamma in gammas}
+
+    if threads > 1 and len(xs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_pair = list(pool.map(scan, pairs))
+            per_x = list(pool.map(scan, xs))
     else:
-        per_pair = [scan(pair) for pair in pairs]
-    labels = {(x, gamma): _growth_label([c.s_count for c in part])
-              for (gamma, x), part in zip(pairs, per_pair)}
-    return SweepResult(gamma_grid=gammas, x_grid=xs, n_grid=tuple(sizes),
-                       cells=tuple(c for part in per_pair for c in part),
-                       labels=labels)
+        per_x = [scan(x) for x in xs]
+    by_pair = {(x, gamma): part[gamma]
+               for gamma in gammas for x, part in zip(xs, per_x)}
+    return SweepResult(
+        gamma_grid=gammas, x_grid=xs, n_grid=tuple(sizes),
+        cells=tuple(c for cells in by_pair.values() for c in cells),
+        labels={pair: _growth_label([c.s_count for c in cells])
+                for pair, cells in by_pair.items()})
 
 
 def divergence_scan(spec: SequenceSpec, gamma: float,
@@ -372,10 +380,10 @@ def divergence_scan(spec: SequenceSpec, gamma: float,
 
     Every cell also carries the discrepancy inequality sides and the partial
     B^-1 sum, with the lower bounds asserted.  theta, the per-N
-    discrepancies and the window state are computed once per scan; each x
-    is pure work on those immutable arrays, so it may run on a thread pool,
-    and results are always assembled in x-grid order regardless of
-    completion order.
+    discrepancies and the window amplitudes are computed once per scan; each
+    x is pure work on those immutable arrays and its own circle view, so it
+    may run on a thread pool, and results are always assembled in x-grid
+    order regardless of completion order.
     """
     return _sweep(spec, (gamma,), x_grid, n_grid, variant, threads)
 
@@ -387,11 +395,12 @@ def gamma_sweep(j: int, beta: RationalApprox, gamma_grid: Sequence[float],
     """Run divergence scans of (n**j beta) across an exponent grid.
 
     theta and the per-N discrepancies depend only on (j, beta, max N), so
-    they are built once for the whole grid, with one window state per gamma;
-    the thread pool maps over (gamma, x) pairs and cells come back in
-    (gamma, x, N) order.  No label is asserted: the counting argument forces
-    divergence only inside ``spectral.gamma_window``, and the regime outside
-    it depends on the unproven Weyl-sum exponent.
+    they are built once for the whole grid, with the amplitudes of one
+    window state per gamma; the thread pool maps over x values, each with
+    one circle view for every gamma, and cells come back in (gamma, x, N)
+    order.  No label is asserted: the counting argument forces divergence
+    only inside ``spectral.gamma_window``, and the regime outside it depends
+    on the unproven Weyl-sum exponent.
     """
     return _sweep(SequenceSpec(j=j, beta=beta),
                   tuple(float(g) for g in gamma_grid), x_grid, n_grid,

@@ -41,6 +41,7 @@ from .rationals import (
 __all__ = [
     "BaseSpectrum",
     "ThetaSequence",
+    "CircleView",
     "KickState",
     "KickEnsemble",
     "GammaWindow",
@@ -55,6 +56,7 @@ __all__ = [
     "cotangent_residual",
     "gamma_window",
     "circle_distance",
+    "circle_view",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -175,6 +177,31 @@ def circle_distance(x: float, angles: np.ndarray) -> np.ndarray:
     np.abs(d, out=d)
     np.fmod(d, TWO_PI, out=d)
     return np.minimum(d, TWO_PI - d, out=d)
+
+
+@dataclass(frozen=True, eq=False)
+class CircleView:
+    """Circle distances d_n = dist(x, theta_n) and sin^2(d_n/2) of one x.
+
+    Both arrays are elementwise, so the view of a prefix is the prefix of
+    the view, bit for bit.
+    """
+
+    dist: np.ndarray
+    sin2: np.ndarray
+
+
+def circle_view(x: float, angles: np.ndarray) -> CircleView:
+    """One distance pass from x over ``angles``, and sin^2(d/2) beside it.
+
+    This is the one place sin^2 of a circle distance is computed; it fills
+    a second fresh array in place.
+    """
+    dist = circle_distance(x, angles)
+    sin2 = np.multiply(dist, 0.5)
+    np.sin(sin2, out=sin2)
+    sin2 *= sin2
+    return CircleView(dist=dist, sin2=sin2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,11 +344,12 @@ def orthonormal_ensemble(gamma: float, n_states: int, dim: int,
     return KickEnsemble(states=tuple(states), strengths=tuple(strengths))
 
 
-def _check_prefix(n: int, state: KickState, theta: ThetaSequence) -> None:
-    """Reject a prefix length outside 1..min(state.dim, len(theta))."""
+def _check_prefix(n: int, length: int) -> None:
+    """Reject a prefix length outside 1..length, the shorter of the state
+    and the phases."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > min(state.dim, len(theta)):
+    if n > length:
         raise ValueError("n exceeds the available state or phase length")
 
 
@@ -333,9 +361,10 @@ def b_inverse_partial(x: float, state: KickState, theta: ThetaSequence,
     some theta_n carrying nonzero weight (distance on the circle below
     POLE_TOL); zero-weight terms never contribute and never make a pole.
     """
-    _check_prefix(n_terms, state, theta)
+    _check_prefix(n_terms, min(state.dim, len(theta)))
+    view = circle_view(x, theta.values[:n_terms])
     return _b_inverse_sum(np.abs(state.coefficients[:n_terms]) ** 2,
-                          circle_distance(x, theta.values[:n_terms]))
+                          view.dist, view.sin2)
 
 
 def _first_pole(mask: np.ndarray, dist: np.ndarray) -> int | None:
@@ -344,23 +373,21 @@ def _first_pole(mask: np.ndarray, dist: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray) -> float:
+def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray,
+                   sin2: np.ndarray) -> float:
     """sum w_n / sin^2(d_n/2) over w_n > 0 from the weights |a_n|**2 and the
-    circle distances d_n of one prefix, or ``math.inf`` on a weighted pole.
+    ``circle_view`` of one prefix, or ``math.inf`` on a weighted pole.
 
-    Neither argument is written: sin^2(d_n/2) and the terms are built in
-    place on the two masked copies, with no further prefix-sized temporary.
+    ``weights`` must be a fresh array: the terms are divided into it in
+    place under the w_n > 0 mask, which one compress then packs, so the sum
+    adds the same elements in the same order as a sum over the masked
+    subset.  ``dist`` and ``sin2`` are only read.
     """
     mask = weights > 0.0
     if _first_pole(mask, dist) is not None:
         return math.inf
-    s = dist[mask]
-    s *= 0.5
-    np.sin(s, out=s)
-    s *= s
-    terms = weights[mask]
-    terms /= s
-    return float(np.sum(terms))
+    np.divide(weights, sin2, out=weights, where=mask)
+    return float(np.sum(weights[mask]))
 
 
 def b_inverse_per_kick(x: float, ensemble: KickEnsemble, theta: ThetaSequence,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kickspec.counting as counting_mod
+import kickspec.spectral as spectral_mod
 from kickspec.counting import (
     BInverseBounds,
     b_lower_bounds,
@@ -33,6 +34,7 @@ from kickspec.spectral import (
     ThetaSequence,
     b_inverse_partial,
     circle_distance,
+    circle_view,
     full_support_state,
     power_law_state,
     theta_sequence,
@@ -171,6 +173,13 @@ class TestInequalityCheck:
         assert report.holds
 
 
+def one_pass_bounds(x, state, theta, n):
+    """b_lower_bounds of one cell, from the view and amplitudes of the
+    whole state and phase sequence, as the sweep passes them."""
+    return b_lower_bounds(circle_view(x, theta.values),
+                          np.abs(state.coefficients), state.gamma, n)
+
+
 class TestBLowerBounds:
     def test_per_term_bound(self):
         spec = BaseSpectrum.harmonic(GOLDEN.as_fraction())
@@ -178,7 +187,7 @@ class TestBLowerBounds:
         theta = theta_sequence(spec, n)
         state = power_law_state(0.6, n)
         x = 1.0
-        bounds = b_lower_bounds(x, state, theta, n)
+        bounds = one_pass_bounds(x, state, theta, n)
         s = count_set_S(x, state, theta, n)
         assert bounds.s_count == s
         assert bounds.per_term_bound == 4.0 * s
@@ -189,7 +198,7 @@ class TestBLowerBounds:
     def test_empty_set_gives_zero_bound(self):
         state = power_law_state(0.75, 40)
         theta = theta_sequence(BaseSpectrum.harmonic(Fraction(1, 2)), 40)
-        bounds = b_lower_bounds(math.pi / 2, state, theta, 40)
+        bounds = one_pass_bounds(math.pi / 2, state, theta, 40)
         assert bounds.per_term_bound == 0.0
 
     @given(st.floats(0.3, TWO_PI - 0.3), st.integers(30, 400))
@@ -204,7 +213,9 @@ class TestBLowerBounds:
 
 # The three-pass evaluation that b_lower_bounds replaced: each quantity
 # recomputes |a_n| and the circle distances (reduced with numpy's %) of the
-# prefix.  The one-pass code must agree with it bit for bit.
+# prefix, and B^-1 takes sin of the weighted subset only.  The one-pass code,
+# which reads prefixes of one view of the whole sequence, must agree with it
+# bit for bit.
 def modulo_distance(x, angles):
     d = np.abs(np.asarray(angles, dtype=np.float64) - x) % TWO_PI
     return np.minimum(d, TWO_PI - d)
@@ -281,7 +292,7 @@ class TestOnePassAgainstThreePasses:
            n=st.one_of(st.integers(3, _N), st.sampled_from([3, _N])))
     def test_bit_identical(self, k, x, n):
         state = _STATES[k]
-        assert outcome(b_lower_bounds, x, state, _THETA, n) == \
+        assert outcome(one_pass_bounds, x, state, _THETA, n) == \
             outcome(three_pass_bounds, x, state, _THETA, n)
         assert count_set_S(x, state, _THETA, n) == \
             three_pass_s_count(x, state, _THETA, n)
@@ -296,7 +307,7 @@ class TestOnePassAgainstThreePasses:
         for x in (0.0, 1e-300, 5e-7, TWO_PI - 5e-7, np.nextafter(TWO_PI, 0.0),
                   1.0, math.pi):
             for n in (3, 4, 1000, _N - 1, _N):
-                assert outcome(b_lower_bounds, x, state, _THETA, n) == \
+                assert outcome(one_pass_bounds, x, state, _THETA, n) == \
                     outcome(three_pass_bounds, x, state, _THETA, n)
                 assert b_inverse_partial(x, state, _THETA, n) == \
                     three_pass_b_inverse(x, state, _THETA, n)
@@ -304,7 +315,7 @@ class TestOnePassAgainstThreePasses:
     def test_pole_returns_divergent(self):
         state = _STATES[0]
         x = float(_THETA.values[17])
-        bounds = b_lower_bounds(x, state, _THETA, _N)
+        bounds = one_pass_bounds(x, state, _THETA, _N)
         assert bounds.b_inverse == math.inf
         assert bounds == three_pass_bounds(x, state, _THETA, _N)
 
@@ -313,22 +324,11 @@ class TestOnePassAgainstThreePasses:
         # S(x) window of width 1e-170 at theta_5 while its weight is zero
         for state, m in ((_STATES[0], 0), (_STATES[2], 5)):
             x = float(_THETA.values[m])
-            bounds = b_lower_bounds(x, state, _THETA, _N)
+            bounds = one_pass_bounds(x, state, _THETA, _N)
             assert isinstance(bounds.b_inverse, float)
             assert bounds == three_pass_bounds(x, state, _THETA, _N)
-        assert b_lower_bounds(float(_THETA.values[5]), _STATES[2], _THETA,
-                              _N).s_count >= 1
-
-    def test_one_distance_pass_per_call(self, monkeypatch):
-        calls = []
-
-        def counted(x, angles):
-            calls.append(len(angles))
-            return circle_distance(x, angles)
-
-        monkeypatch.setattr(counting_mod, "circle_distance", counted)
-        b_lower_bounds(1.0, _STATES[0], _THETA, 2000)
-        assert calls == [2000]
+        assert one_pass_bounds(float(_THETA.values[5]), _STATES[2], _THETA,
+                               _N).s_count >= 1
 
     @pytest.mark.parametrize("n, message", [
         (0, "n must be at least 1"),
@@ -337,13 +337,15 @@ class TestOnePassAgainstThreePasses:
     ])
     def test_validation_order(self, n, message):
         with pytest.raises(ValueError) as info:
-            b_lower_bounds(1.0, _STATES[0], _THETA, n)
+            one_pass_bounds(1.0, _STATES[0], _THETA, n)
         assert str(info.value) == message
 
     def test_needs_power_law_gamma(self):
-        state = KickState(coefficients=_STATES[0].coefficients)
-        with pytest.raises(ValueError, match="power-law state"):
-            b_lower_bounds(1.0, state, _THETA, 0)
+        # gamma is checked first, before the prefix length
+        view = circle_view(1.0, _THETA.values)
+        for gamma in (0.45, 1.5):
+            with pytest.raises(ValueError, match="outside the divergent regime"):
+                b_lower_bounds(view, np.abs(_STATES[0].coefficients), gamma, 0)
 
 
 class TestDivergenceScan:
@@ -447,7 +449,8 @@ class TestSweepCore:
             beta=tuple([Fraction(0)] * j + [GOLDEN.as_fraction()]))
         theta = theta_sequence(base, n_grid[-1] + 1)
         states = {g: power_law_state(g, n_grid[-1] + 1) for g in gammas}
-        assert len(sweep.cells) == len(gammas) * len(xs) * len(n_grid)
+        assert [(c.gamma, c.x, c.n) for c in sweep.cells] == \
+            [(g, x, n) for g in gammas for x in xs for n in n_grid]
         for cell in sweep.cells:
             n = cell.n
             pts = sequence_points(spec, n)
@@ -460,6 +463,44 @@ class TestSweepCore:
             assert cell.s_count == count_set_S(cell.x, state, theta, n + 1)
             assert cell.b_inverse == b_inverse_partial(cell.x, state, theta,
                                                        n + 1)
+
+    def test_one_distance_pass_per_x(self, monkeypatch):
+        calls = []
+
+        def counted(x, angles):
+            calls.append(len(angles))
+            return circle_distance(x, angles)
+
+        for module in (spectral_mod, counting_mod):
+            monkeypatch.setattr(module, "circle_distance", counted)
+        n_grid = [500, 1000, 2000]
+        xs = default_x_grid(3, n_min=n_grid[0], gamma=0.6)
+        sweep = gamma_sweep(1, GOLDEN, [0.6, 0.8], xs, n_grid, threads=2)
+        assert len(sweep.cells) == 2 * 3 * 3
+        assert calls == [n_grid[-1] + 1] * 3
+
+    def test_threads_never_change_a_result(self):
+        gammas = (0.6, 0.8)
+        n_grid = [300, 1000, 3000]
+        theta = theta_sequence(
+            BaseSpectrum(beta=(Fraction(0), GOLDEN.as_fraction())),
+            n_grid[-1] + 1)
+        # theta_4 = 2 pi {4 phi}, near 0.94 pi, carries weight in every
+        # prefix: x on it is a pole of every cell of that x
+        pole = float(theta.values[4])
+        states = {g: power_law_state(g, n_grid[-1] + 1) for g in gammas}
+        grid = default_x_grid(4, n_min=n_grid[0], gamma=min(gammas))
+        for xs in ((pole,), (grid[0], pole), (*grid, pole)):
+            runs = [gamma_sweep(1, GOLDEN, gammas, xs, n_grid, threads=t)
+                    for t in (1, 2, 3)]
+            for run in runs[1:]:
+                assert run.cells == runs[0].cells
+                assert run.labels == runs[0].labels
+            on_pole = [c for c in runs[0].cells if c.x == pole]
+            assert len(on_pole) == len(gammas) * len(n_grid)
+            for cell in on_pole:
+                assert cell.b_inverse == math.inf == b_inverse_partial(
+                    pole, states[cell.gamma], theta, cell.n + 1)
 
     def test_repeated_x_rejected_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
