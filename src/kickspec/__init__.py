@@ -32,13 +32,11 @@ from .equidistribution import (
     ET_SIZE_FLOOR,
     MAX_ET_PRODUCTS,
     DiscrepancyReport,
-    ScalingFit,
     SequenceSpec,
     classical_exponent,
     conjectured_exponent,
     discrepancy_exact,
     discrepancy_oracle,
-    discrepancy_scaling_fit,
     erdos_turan_bound,
     erdos_turan_bounds,
     sequence_points,
@@ -76,11 +74,8 @@ from .rationals import (
     RationalApprox,
     TypeEstimate,
     continued_fraction,
-    fractional_part,
     golden_ratio,
     irrational_type_estimate,
-    liouville_number,
-    nearest_integer_distance,
     sqrt_two,
 )
 from .spectral import (
@@ -91,7 +86,6 @@ from .spectral import (
     ThetaSequence,
     alpha_sequence,
     b_inverse_partial,
-    b_inverse_per_kick,
     cotangent_residual,
     full_support_state,
     gamma_window,

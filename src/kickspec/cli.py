@@ -111,7 +111,8 @@ def parse_size_grid(text: str) -> list[int]:
         if ":" in text:
             lo_s, hi_s, k_s = text.split(":")
             lo, hi, k = float(lo_s), float(hi_s), int(k_s)
-            if lo < 1 or hi < lo or k < 1:
+            # false for nan and inf, so neither reaches numpy
+            if not (1 <= lo <= hi < math.inf and k >= 1):
                 raise ValueError
             sizes = np.exp(np.linspace(math.log(lo), math.log(hi), k))
             grid = sorted({int(round(s)) for s in sizes})
@@ -120,7 +121,7 @@ def parse_size_grid(text: str) -> list[int]:
         if not grid or grid[0] < 1:
             raise ValueError
         return grid
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"cannot parse size grid {text!r}: "
                          "use lo:hi:count or a comma list") from exc
 
@@ -300,6 +301,25 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _scount_tables(cell_rows, label_rows) -> tuple[ResultTable, ResultTable]:
+    """The cells.csv and labels.csv tables of a sweep's rows."""
+    return (
+        ResultTable(columns=("x_rad", "gamma", "N", "a_count", "s_count",
+                             "lhs", "rhs", "b_inverse", "holds"),
+                    rows=tuple(tuple(row) for row in cell_rows)),
+        ResultTable(columns=("x_rad", "gamma", "label", "inside_window"),
+                    rows=tuple(tuple(row) for row in label_rows)))
+
+
+def _cached_scount_tables(payload) -> tuple[ResultTable, ResultTable] | None:
+    """Both tables of a cached payload, or None (a miss) when the payload is
+    absent or either table does not build from it."""
+    try:
+        return _scount_tables(payload["cells"], payload["labels"])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def cmd_scount(args) -> int:
     beta = parse_beta_spec(args.beta, args.precision)
     grid = parse_size_grid(args.n_grid)
@@ -328,8 +348,8 @@ def cmd_scount(args) -> int:
     window = gamma_window(args.j, eta)
     out = Path(args.out)
     cache = CellCache(out / ".cache")
-    cached = cache.get(key)
-    if not (isinstance(cached, dict) and {"cells", "labels"} <= cached.keys()):
+    tables = _cached_scount_tables(cache.get(key))
+    if tables is None:
         sweep = gamma_sweep(args.j, beta, gammas, xs, grid,
                             variant=args.variant, threads=args.threads)
         cell_rows = [[rep.x, rep.gamma, rep.n, rep.a_count, rep.s_count,
@@ -337,18 +357,12 @@ def cmd_scount(args) -> int:
                      for rep in sweep.cells]
         label_rows = [[x, gamma, sweep.labels[(x, gamma)], int(gamma in window)]
                       for gamma in gammas for x in xs]
+        tables = _scount_tables(cell_rows, label_rows)
         cache.put(key, {"cells": cell_rows, "labels": label_rows})
-    else:
-        cell_rows = cached["cells"]
-        label_rows = cached["labels"]
+    cells, labels = tables
 
-    write_csv(out / "cells.csv", ResultTable(
-        columns=("x_rad", "gamma", "N", "a_count", "s_count", "lhs", "rhs",
-                 "b_inverse", "holds"),
-        rows=tuple(tuple(row) for row in cell_rows)))
-    write_csv(out / "labels.csv", ResultTable(
-        columns=("x_rad", "gamma", "label", "inside_window"),
-        rows=tuple(tuple(row) for row in label_rows)))
+    write_csv(out / "cells.csv", cells)
+    write_csv(out / "labels.csv", labels)
     summary = {
         "eta": eta,
         "window": [window.lo, window.hi],
@@ -356,7 +370,7 @@ def cmd_scount(args) -> int:
     write_json(out / "summary.json", summary)
     write_manifest(out, "scount", params, __version__,
                    ["cells.csv", "labels.csv", "summary.json"])
-    print(f"wrote {out / 'cells.csv'} ({len(cell_rows)} cells)")
+    print(f"wrote {out / 'cells.csv'} ({len(cells)} cells)")
     return 0
 
 

@@ -82,9 +82,14 @@ MAX_X_COUNT = 10**4
 
 
 def bourget_half_width(n: int, gamma: float) -> float:
-    """Half-width N**(2(1/2-gamma)) / sqrt(log N) of the widened interval."""
+    """Half-width N**(2(1/2-gamma)) / sqrt(log N) of the widened interval.
+
+    The one home of the rule n >= 3, which keeps log N > 1:
+    ``count_set_bourget`` and ``b_lower_bounds`` reach it through
+    ``_wide_count``.
+    """
     if n < 3:
-        raise ValueError("bourget window needs n >= 3 so log n > 1")
+        raise ValueError("bourget window needs n >= 3")
     return n ** (2.0 * (0.5 - gamma)) / math.sqrt(math.log(n))
 
 
@@ -160,8 +165,6 @@ def _s_count(amplitudes: np.ndarray, dist: np.ndarray) -> int:
 def count_set_bourget(x: float, theta: ThetaSequence, n: int,
                       gamma: float) -> int:
     """#{m < n : dist(x, theta_m) <= 2*pi*N**(2(1/2-gamma))/sqrt(log N)}."""
-    if n < 3:
-        raise ValueError("bourget window needs n >= 3")
     if n > len(theta):
         raise ValueError("n exceeds the phase length")
     return _wide_count(circle_distance(x, theta.values[:n]), n, gamma)
@@ -245,8 +248,6 @@ def b_lower_bounds(view: CircleView, amplitudes: np.ndarray, gamma: float,
     """
     _check_gamma(gamma)
     _check_prefix(n, min(amplitudes.size, view.dist.size))
-    if n < 3:
-        raise ValueError("bourget window needs n >= 3")
     amplitudes = amplitudes[:n]
     dist = view.dist[:n]
     s_count = _s_count(amplitudes, dist)

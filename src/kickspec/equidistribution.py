@@ -1,8 +1,8 @@
 """Equidistribution diagnostics for power sequences n**j * beta mod 1.
 
 Covers Weyl sums, the extreme (two-sided) discrepancy with an independent
-brute-force oracle, the explicit Erdos-Turan bound, and log-log scaling fits
-of D_N against the irrationality-type prediction.
+brute-force oracle, the explicit Erdos-Turan bound, and the least-squares
+log-log slope of D_N against N that the ``discrepancy`` command reports.
 
 Discrepancy values are computed exactly: a vectorised float pass locates the
 extremal intervals, the winners are re-evaluated in integer arithmetic, and
@@ -28,7 +28,6 @@ __all__ = [
     "MAX_ET_PRODUCTS",
     "SequenceSpec",
     "DiscrepancyReport",
-    "ScalingFit",
     "sequence_points",
     "weyl_sum",
     "weyl_sums",
@@ -38,7 +37,6 @@ __all__ = [
     "discrepancy_oracle",
     "erdos_turan_bound",
     "erdos_turan_bounds",
-    "discrepancy_scaling_fit",
 ]
 
 #: Most harmonic-times-point products the Erdos-Turan bounds of one run may
@@ -347,40 +345,6 @@ def erdos_turan_bound(points: Iterable[float], m: int) -> float:
     """
     xs = _checked_points(points)
     return erdos_turan_bounds(xs, [xs.size], m)[0]
-
-
-@dataclass(frozen=True)
-class ScalingFit:
-    """Least-squares slope of log D_N against log N plus the per-N table."""
-
-    slope: float
-    table: tuple[tuple[int, float], ...]
-    reference_slope: float
-
-
-def discrepancy_scaling_fit(
-    spec: SequenceSpec,
-    n_grid: Sequence[int],
-    eta: float = 1.0,
-) -> ScalingFit:
-    """Fit the decay exponent of D_N over a geometric grid of lengths.
-
-    The reference slope is -1/(eta*j), the finite-type prediction for the
-    sequence (n**j beta); rational beta plateaus instead (slope near zero).
-    """
-    sizes = sorted(int(n) for n in n_grid)
-    if len(sizes) < 4:
-        raise ValueError("need at least 4 grid sizes")
-    if sizes[0] < 1:
-        raise ValueError("grid sizes must be positive")
-    if sizes[-1] < 100 * sizes[0]:
-        raise ValueError("grid must span at least two decades")
-    pts = sequence_points(spec, sizes[-1])
-    table = []
-    for size in sizes:
-        table.append((size, discrepancy_exact(pts[:size]).d_n))
-    return ScalingFit(slope=_log_log_slope(table), table=tuple(table),
-                      reference_slope=-1.0 / (eta * spec.j))
 
 
 def _log_log_slope(table: Sequence[tuple[int, float]]) -> float:

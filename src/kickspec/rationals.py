@@ -32,13 +32,10 @@ __all__ = [
     "RationalApprox",
     "ContinuedFraction",
     "TypeEstimate",
-    "fractional_part",
-    "nearest_integer_distance",
     "continued_fraction",
     "irrational_type_estimate",
     "golden_ratio",
     "sqrt_two",
-    "liouville_number",
     "polynomial_fractional_parts",
     "unit_float",
 ]
@@ -104,26 +101,6 @@ def as_fraction(x: Real) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
-
-
-def fractional_part(x: Real):
-    """{x} = x - floor(x), always in [0, 1).
-
-    Exact (a Fraction) for exact inputs, float for float inputs.  For floats
-    a hair below an integer the subtraction rounds to 1.0; the result is
-    clamped to the largest float under 1 to keep the half-open range.
-    """
-    if isinstance(x, float):
-        r = x - math.floor(x)
-        return math.nextafter(1.0, 0.0) if r >= 1.0 else r
-    f = as_fraction(x)
-    return f - math.floor(f)
-
-
-def nearest_integer_distance(x: Real):
-    """<x> = min({x}, 1 - {x}), the distance from x to the nearest integer."""
-    frac = fractional_part(x)
-    return min(frac, 1 - frac)
 
 
 @dataclass(frozen=True)
@@ -241,12 +218,6 @@ def sqrt_two(depth: int = 200) -> RationalApprox:
         p_prev, p_cur = p_cur, 2 * p_cur + p_prev
         q_prev, q_cur = q_cur, 2 * q_cur + q_prev
     return RationalApprox(p_cur, q_cur)
-
-
-def liouville_number(terms: int = 4) -> RationalApprox:
-    """Truncation of the classic fast-approximable sum 10**(-k!), k = 1..terms."""
-    total = sum(Fraction(1, 10 ** math.factorial(k)) for k in range(1, terms + 1))
-    return RationalApprox.from_fraction(total)
 
 
 def integer_polynomial(coeffs: Sequence[Real]) -> tuple[list[int], int]:

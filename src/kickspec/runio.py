@@ -31,17 +31,18 @@ __all__ = [
 ]
 
 
+_CELL_TYPES = frozenset((int, float, str))
+
+
 def _format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (int, str)):
-        return str(value)
-    raise TypeError(f"unsupported cell type {type(value).__name__}")
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Named columns over rows of equal arity with no missing cells."""
+    """Named columns over rows of equal arity whose every cell is exactly an
+    int, a float or a str (a bool is not), so a table that exists can be
+    written."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -51,8 +52,9 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValueError("row arity does not match the column count")
             for cell in row:
-                if cell is None:
-                    raise ValueError("tables cannot have missing cells")
+                if type(cell) not in _CELL_TYPES:
+                    raise ValueError(
+                        f"unsupported cell type {type(cell).__name__}")
 
     def __len__(self) -> int:
         return len(self.rows)

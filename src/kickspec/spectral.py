@@ -51,7 +51,6 @@ __all__ = [
     "full_support_state",
     "orthonormal_ensemble",
     "b_inverse_partial",
-    "b_inverse_per_kick",
     "point_mass",
     "cotangent_residual",
     "gamma_window",
@@ -84,8 +83,8 @@ class BaseSpectrum:
             raise ValueError("need a polynomial of degree >= 1 (beta_0, beta_1, ...)")
         if all(c == 0 for c in coeffs[1:]):
             raise ValueError("at least one coefficient beta_j with j >= 1 must be nonzero")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < math.inf:  # false for nan
+            raise ValueError("hbar must be positive and finite")
         period = as_fraction(self.period)
         if period <= 0:
             raise ValueError("period must be positive")
@@ -388,20 +387,6 @@ def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray,
         return math.inf
     np.divide(weights, sin2, out=weights, where=mask)
     return float(np.sum(weights[mask]))
-
-
-def b_inverse_per_kick(x: float, ensemble: KickEnsemble, theta: ThetaSequence,
-                       n_terms: int) -> tuple[tuple[float, ...], float]:
-    """Per-state partial sums of B_k^-1(x) and their product.
-
-    e^{ix} keeps a point mass only while every factor stays finite, so the
-    product is reported alongside the individual factors; if any factor is
-    ``math.inf`` the product is too, even where another factor is 0.0 (a
-    state with no weight in the prefix), whose plain product would be nan.
-    """
-    per_k = tuple(b_inverse_partial(x, state, theta, n_terms)
-                  for state in ensemble.states)
-    return per_k, math.inf if math.inf in per_k else math.prod(per_k)
 
 
 def _kick_sine(phase: float) -> float:

@@ -7,7 +7,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import kickspec
@@ -52,8 +51,9 @@ class TestParsers:
     def test_size_grid(self):
         assert parse_size_grid("1e2:1e4:3") == [100, 1000, 10000]
         assert parse_size_grid("100,50,100") == [50, 100]
-        with pytest.raises(ValueError):
-            parse_size_grid("10:1:abc")
+        for text in ("10:1:abc", "inf", "1e400", "1e3:inf:3", "nan:1e5:3"):
+            with pytest.raises(ValueError, match="cannot parse size grid"):
+                parse_size_grid(text)
 
 
 class TestExitCodes:
@@ -95,6 +95,25 @@ class TestExitCodes:
         assert code == 3
         assert "exceeds the dense limit" in capsys.readouterr().err
         assert elapsed < 1.0
+        assert not any(tmp_path.iterdir())
+
+    # rejected before numpy sees the value: no RuntimeWarning, no traceback
+    @pytest.mark.parametrize("argv, message", [
+        (["weyl", "--n-grid", "inf"], "cannot parse size grid"),
+        (["weyl", "--n-grid", "1e400"], "cannot parse size grid"),
+        (["discrepancy", "--n-grid", "1e3:inf:3"], "cannot parse size grid"),
+        (["discrepancy", "--n-grid", "1e3:1e400:3"], "cannot parse size grid"),
+        (["dynamics", "--rank", "0", "--hbar", "inf"],
+         "hbar must be positive and finite"),
+        (["spectrum", "--hbar", "nan"], "hbar must be positive and finite"),
+    ])
+    def test_non_finite_value_rejected(self, argv, message, tmp_path,
+                                       capsys, recwarn):
+        code = main([*argv, "--beta", "golden",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not recwarn.list
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
@@ -404,7 +423,7 @@ class TestDiscrepancyCommand:
             assert float(row[2]) == erdos_turan_bound(pts[:n], 16)
 
     def test_golden_full_grid_slope(self, tmp_path):
-        from kickspec.equidistribution import discrepancy_scaling_fit
+        from kickspec.equidistribution import _log_log_slope
 
         out = tmp_path / "run"
         assert main(["discrepancy", "--j", "1", "--beta", "golden",
@@ -415,10 +434,12 @@ class TestDiscrepancyCommand:
         assert len(data) == 4
         slope = float(rows[-1][1])
         assert -1.05 <= slope <= -0.85
-        fit = discrepancy_scaling_fit(SequenceSpec(j=1, beta=golden_ratio(200)),
-                                      [1000, 10_000, 100_000, 1_000_000])
-        assert slope == pytest.approx(fit.slope, abs=1e-12)
-        for row, (n, d) in zip(data, fit.table):
+        sizes = [1000, 10_000, 100_000, 1_000_000]
+        pts = sequence_points(SequenceSpec(j=1, beta=golden_ratio(200)),
+                              sizes[-1])
+        table = [(n, discrepancy_exact(pts[:n]).d_n) for n in sizes]
+        assert slope == pytest.approx(_log_log_slope(table), abs=1e-12)
+        for row, (n, d) in zip(data, table):
             assert int(row[0]) == n
             assert float(row[1]) == d
 
@@ -601,6 +622,23 @@ class TestScountCommand:
         entry.write_text('{"key": "%s", "rows": {}}' % entry.stem)
         assert main(args) == 0
         assert (out / "cells.csv").read_bytes() == first
+        # an intact key over rows from which a table does not build: a short
+        # labels row, a cells entry that is no list, a dict cell and a bool
+        # cell, which would be written as "True"
+        good = entry.read_text()
+        tables = {name: (out / name).read_bytes()
+                  for name in ("cells.csv", "labels.csv")}
+        for damage in (lambda rows: rows["labels"][0].pop(),
+                       lambda rows: rows.update(cells=5),
+                       lambda rows: rows["cells"][0].__setitem__(2, {"N": 1}),
+                       lambda rows: rows["cells"][0].__setitem__(8, True)):
+            stored = json.loads(good)
+            damage(stored["rows"])
+            entry.write_text(json.dumps(stored))
+            assert main(args) == 0
+            assert entry.read_text() == good  # recomputed and overwritten
+            for name, data in tables.items():
+                assert (out / name).read_bytes() == data
 
     def test_cache_key_covers_version(self, tmp_path, monkeypatch):
         import kickspec.cli as cli_mod

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import functools
 import math
 import tracemalloc
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kickspec.cli import main
 from kickspec.equidistribution import (
     SequenceSpec,
     classical_exponent,
     conjectured_exponent,
     discrepancy_exact,
     discrepancy_oracle,
-    discrepancy_scaling_fit,
     erdos_turan_bound,
     erdos_turan_bounds,
     sequence_points,
@@ -298,29 +299,33 @@ class TestErdosTuranBlocked:
                                                        20000), rel=1e-12)
 
 
+def discrepancy_run(tmp_path, j, beta, sizes):
+    """The slope and the (N, D_N) rows that ``kickspec discrepancy`` writes."""
+    out = tmp_path / "run"
+    assert main(["discrepancy", "--j", str(j), "--beta", beta,
+                 "--n-grid", ",".join(map(str, sizes)),
+                 "--out", str(out)]) == 0
+    with open(out / "discrepancy.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    return float(rows[-1][1]), [(int(n), float(d)) for n, d, _ in rows[1:-1]]
+
+
 class TestScalingFit:
-    def test_golden_linear_decay(self):
-        fit = discrepancy_scaling_fit(spec(1, GOLDEN),
-                                      [100, 1000, 10_000, 100_000])
-        assert -1.1 <= fit.slope <= -0.8
-        assert fit.reference_slope == -1.0
-        assert [n for n, _ in fit.table] == [100, 1000, 10_000, 100_000]
+    def test_golden_linear_decay(self, tmp_path):
+        slope, table = discrepancy_run(tmp_path, 1, "golden",
+                                       [100, 1000, 10_000, 100_000])
+        assert -1.1 <= slope <= -0.8
+        assert [n for n, _ in table] == [100, 1000, 10_000, 100_000]
 
-    def test_rational_beta_plateaus(self):
-        fit = discrepancy_scaling_fit(spec(1, RationalApprox(1, 3)),
-                                      [100, 1000, 10_000, 100_000])
-        assert abs(fit.slope) < 0.05
-        assert all(d >= 0.3 for _, d in fit.table)
+    def test_rational_beta_plateaus(self, tmp_path):
+        slope, table = discrepancy_run(tmp_path, 1, "1/3",
+                                       [100, 1000, 10_000, 100_000])
+        assert abs(slope) < 0.05
+        assert all(d >= 0.3 for _, d in table)
 
-    def test_square_sequence_lower_bound(self):
+    def test_square_sequence_lower_bound(self, tmp_path):
         sizes = [1000, 3163, 10_000, 31_623, 100_000]
-        fit = discrepancy_scaling_fit(spec(2, GOLDEN), sizes)
-        assert fit.slope <= -0.25
-        for n, d in fit.table:
+        slope, table = discrepancy_run(tmp_path, 2, "golden", sizes)
+        assert slope <= -0.25
+        for n, d in table:
             assert d >= 0.5 * n ** (-0.5 - 0.1)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            discrepancy_scaling_fit(spec(1, GOLDEN), [100, 200, 400])
-        with pytest.raises(ValueError):
-            discrepancy_scaling_fit(spec(1, GOLDEN), [100, 200, 400, 800])

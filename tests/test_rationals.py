@@ -14,11 +14,8 @@ from kickspec.rationals import (
     MAX_TERMS,
     RationalApprox,
     continued_fraction,
-    fractional_part,
     golden_ratio,
     irrational_type_estimate,
-    liouville_number,
-    nearest_integer_distance,
     polynomial_fractional_parts,
     sqrt_two,
     unit_float,
@@ -73,39 +70,6 @@ def polynomials(draw):
 
 # block (4096 points up to degree 4) and chunk (65536 points) edges
 EDGE_TERMS = (1, 2, 4095, 4096, 4097, 8193, 65535, 65536, 65537)
-
-
-class TestFractionalPart:
-    def test_positive_float(self):
-        assert fractional_part(2.75) == 0.75
-
-    def test_negative_float_is_nonnegative(self):
-        assert fractional_part(-0.25) == 0.75
-
-    def test_exact_rational(self):
-        assert fractional_part(Fraction(7, 3)) == Fraction(1, 3)
-        assert isinstance(fractional_part(Fraction(7, 3)), Fraction)
-
-    def test_rational_approx_input(self):
-        assert fractional_part(RationalApprox(7, 3)) == Fraction(1, 3)
-
-    @given(st.floats(min_value=-1e6, max_value=1e6,
-                     allow_nan=False, allow_infinity=False))
-    def test_in_unit_interval(self, x):
-        f = fractional_part(x)
-        assert 0.0 <= f < 1.0
-
-
-class TestNearestIntegerDistance:
-    def test_examples(self):
-        assert nearest_integer_distance(0.75) == 0.25
-        assert nearest_integer_distance(3.0) == 0.0
-        assert abs(nearest_integer_distance(PHI) - 0.3819660113) < 1e-9
-
-    @given(st.fractions(max_denominator=10**6))
-    def test_at_most_half(self, q):
-        d = nearest_integer_distance(q)
-        assert 0 <= d <= Fraction(1, 2)
 
 
 class TestRationalApprox:
@@ -190,7 +154,11 @@ class TestTypeEstimate:
         assert 1.0 <= est.eta_hat <= 1.13
 
     def test_liouville_sticks_out(self):
-        est = irrational_type_estimate(liouville_number(4), 10**3)
+        # the fast-approximable sum 10**(-k!), k = 1..4
+        liouville = sum(Fraction(1, 10 ** math.factorial(k))
+                        for k in range(1, 5))
+        est = irrational_type_estimate(
+            RationalApprox.from_fraction(liouville), 10**3)
         golden = irrational_type_estimate(golden_ratio(200), 10**3)
         assert est.eta_hat > 1.9
         assert est.eta_hat > golden.eta_hat + 0.7

@@ -19,8 +19,11 @@ class TestResultTable:
             ResultTable(columns=("a", "b"), rows=((1.0,),))
 
     def test_missing_cells_rejected(self):
-        with pytest.raises(ValueError):
-            ResultTable(columns=("a",), rows=((None,),))
+        # None, like every cell that is not exactly an int, a float or a
+        # str, could not be written as a CLI table cell ("True" for a bool)
+        for cell in (None, True, {"N": 1}, [1], b"1", 1j):
+            with pytest.raises(ValueError, match="unsupported cell type"):
+                ResultTable(columns=("a",), rows=((cell,),))
 
     def test_len(self):
         t = ResultTable(columns=("a",), rows=((1,), (2,)))

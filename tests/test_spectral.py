@@ -20,7 +20,6 @@ from kickspec.spectral import (
     ThetaSequence,
     alpha_sequence,
     b_inverse_partial,
-    b_inverse_per_kick,
     circle_distance,
     cotangent_residual,
     full_support_state,
@@ -50,6 +49,11 @@ class TestBaseSpectrum:
             BaseSpectrum(beta=(Fraction(1),))
         with pytest.raises(ValueError):
             BaseSpectrum(beta=(Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+    def test_hbar_positive_and_finite(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            BaseSpectrum(beta=(Fraction(0), GOLDEN), hbar=hbar)
 
     def test_alpha_linear(self):
         omega_turns = Fraction(3, 10)
@@ -307,24 +311,6 @@ class TestBInverse:
         values = [b_inverse_partial(x, state, theta, n)
                   for n in range(1, 201, 10)]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-
-    def test_per_kick_product(self):
-        spec = BaseSpectrum.harmonic(GOLDEN)
-        theta = theta_sequence(spec, 50)
-        ens = orthonormal_ensemble(0.75, 2, 50, [1.0, 1.0])
-        per_k, product = b_inverse_per_kick(1.0, ens, theta, 50)
-        assert len(per_k) == 2
-        assert product == pytest.approx(per_k[0] * per_k[1])
-
-    def test_per_kick_pole_beside_empty_prefix(self):
-        # state 0 has a pole at theta_1; state 1 has no weight in n < 2, so
-        # the plain product inf * 0.0 would be nan
-        theta = theta_sequence(BaseSpectrum.harmonic(GOLDEN), 50)
-        ens = orthonormal_ensemble(0.75, 2, 50, [1.0, 1.0])
-        per_k, product = b_inverse_per_kick(float(theta.values[1]), ens,
-                                            theta, 2)
-        assert per_k == (math.inf, 0.0)
-        assert product == math.inf
 
 
 class TestPointMass:
