@@ -105,7 +105,11 @@ def parse_beta_spec(text: str, precision_bits: int | None = None) -> RationalApp
 
 
 def parse_size_grid(text: str) -> list[int]:
-    """Grid syntax: 'lo:hi:k' (k geometric sizes) or a comma list of sizes."""
+    """Grid syntax: 'lo:hi:k' (k geometric sizes) or a comma list of sizes.
+
+    A count k above MAX_TERMS raises ResourceLimitError before the k sizes
+    are allocated.
+    """
     text = text.strip()
     try:
         if ":" in text:
@@ -114,6 +118,9 @@ def parse_size_grid(text: str) -> list[int]:
             # false for nan and inf, so neither reaches numpy
             if not (1 <= lo <= hi < math.inf and k >= 1):
                 raise ValueError
+            if k > MAX_TERMS:
+                raise ResourceLimitError(
+                    f"grid count {k} exceeds the limit {MAX_TERMS}")
             sizes = np.exp(np.linspace(math.log(lo), math.log(hi), k))
             grid = sorted({int(round(s)) for s in sizes})
         else:
@@ -271,10 +278,9 @@ def cmd_spectrum(args) -> int:
     decomposition = eigen_decompose(matrix)
     k_count = len(matrix.ensemble)
     columns = ["index", "eigenphase_rad"] + [f"weight_{k}" for k in range(k_count)]
-    rows = []
-    for i, phase in enumerate(decomposition.eigenphases):
-        rows.append((i, float(phase),
-                     *(float(decomposition.weights[k, i]) for k in range(k_count))))
+    rows = tuple(zip(range(len(decomposition.eigenphases)),
+                     decomposition.eigenphases.tolist(),
+                     *decomposition.weights.tolist()))
     summary = {
         "dim": args.dim,
         "unitarity_defect": matrix.unitarity_defect,
@@ -285,14 +291,13 @@ def cmd_spectrum(args) -> int:
     }
     if k_count == 1:
         theta = theta_sequence(spec, args.dim)
-        residuals = [abs(cotangent_residual(
-            float(x), matrix.ensemble.states[0], theta,
-            matrix.kick_phases[0]))
-            for x in decomposition.eigenphases]
-        summary["max_secular_residual"] = max(residuals)
+        residuals = cotangent_residual(
+            decomposition.eigenphases, matrix.ensemble.states[0], theta,
+            matrix.kick_phases[0])
+        summary["max_secular_residual"] = float(np.max(np.abs(residuals)))
     out = Path(args.out)
     write_csv(out / "eigenphases.csv",
-              ResultTable(columns=tuple(columns), rows=tuple(rows)))
+              ResultTable(columns=tuple(columns), rows=rows))
     write_json(out / "summary.json", summary)
     write_manifest(out, "spectrum", _flag_params(args), __version__,
                    ["eigenphases.csv", "summary.json"])
@@ -394,8 +399,8 @@ def cmd_dynamics(args) -> int:
     survival = trace.survival()
     running = np.concatenate([[0.0], np.cumsum(survival[1:]) /
                               np.arange(1, args.kicks + 1)])
-    rows = [(n, float(survival[n]), float(trace.energies[n]), float(running[n]))
-            for n in range(args.kicks + 1)]
+    rows = tuple(zip(range(args.kicks + 1), survival.tolist(),
+                     trace.energies.tolist(), running.tolist()))
     summary = {
         "kicks": args.kicks,
         "cesaro_mean": trace.cesaro_mean(),
@@ -408,8 +413,7 @@ def cmd_dynamics(args) -> int:
         summary["wiener_gap"] = abs(mean - mass)
     out = Path(args.out)
     write_csv(out / "dynamics.csv", ResultTable(
-        columns=("n", "survival", "energy", "running_cesaro"),
-        rows=tuple(rows)))
+        columns=("n", "survival", "energy", "running_cesaro"), rows=rows))
     write_json(out / "summary.json", summary)
     write_manifest(out, "dynamics", _flag_params(args), __version__,
                    ["dynamics.csv", "summary.json"])

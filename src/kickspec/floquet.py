@@ -21,9 +21,10 @@ one in each gap between the weighted poles theta_n.  The spectral weights
 are those of the operator's own kick states: state k's point masses
 B(x)/sin^2(lambda_k/(2 hbar)) at the roots of its block.  Roots are found in
 the offset from the nearer pole (Bunch, Nielsen and Sorensen 1978; Gragg and
-Reichel 1990 for the unitary case), O(dim^2) per block.  Dynamics apply V
-matrix-free, O(dim * N) per kick.  The dense matrix is assembled only on
-request (``FloquetMatrix.entries``), for tests and oracles; dim <= 4096.
+Reichel 1990 for the unitary case), O(dim^2) per block.  Each term of the
+secular sums is one tangent: cot = 1/tan and 1/sin^2 = 1 + cot^2.  Dynamics
+apply V matrix-free, O(dim * N) per kick.  The dense matrix is assembled only
+on request (``FloquetMatrix.entries``), for tests and oracles; dim <= 4096.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .spectral import (
     KickEnsemble,
     KickState,
     ThetaSequence,
+    _TILE_ELEMENTS,
     _kick_sine,
     alpha_sequence,
     point_mass,
@@ -75,9 +77,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # magnitudes of its terms, the rounding error of evaluating f itself.
 _RESIDUAL_ULPS = 8.0
 _MAX_ITERATIONS = 100
-# Elements per (roots x poles) tile of the secular sums: each temporary
-# array of a tile stays at 512 kB.
-_TILE_ELEMENTS = 1 << 16
 # Complex elements per block of recorded states in evolve (4 MB).
 _RECORD_ELEMENTS = 1 << 18
 
@@ -253,9 +252,12 @@ class _SecularBlock:
     def _half_angles(self, origin, tau):
         """(x - theta_n)/2 for x = pole[origin] + tau, rows by root, columns
         by pole, with the pole differences reduced to [-1/2, 1/2] turns."""
-        diff = self.poles[origin, None] - self.poles[None, :]
-        diff -= np.rint(diff)
-        return 0.5 * (TWO_PI * diff + tau[:, None])
+        half = self.poles[origin, None] - self.poles[None, :]
+        half -= np.rint(half)
+        half *= TWO_PI
+        half += tau[:, None]
+        half *= 0.5
+        return half
 
     def _tiles(self, rows: int):
         step = max(1, _TILE_ELEMENTS // self.poles.size)
@@ -266,23 +268,27 @@ class _SecularBlock:
         """Sums over every pole but the origin, for each root estimate.
 
         Returns sum w cot(d/2) - cot(lambda/2), its term magnitudes, and
-        sum w / sin^2(d/2), with d = x - theta_n.
+        sum w / sin^2(d/2), with d = x - theta_n.  Each term costs one
+        tangent: cot = 1/tan and 1/sin^2 = 1 + cot^2.
         """
         f = np.empty(tau.size)
         scale = np.empty(tau.size)
         b_inv = np.empty(tau.size)
         w = self.pole_weights
         for tile in self._tiles(tau.size):
-            half = self._half_angles(origin[tile], tau[tile])
-            s = np.sin(half)
-            cot = w * (np.cos(half) / s)
-            inv_sq = w / (s * s)
-            rows = np.arange(half.shape[0])
+            cot = self._half_angles(origin[tile], tau[tile])
+            np.tan(cot, out=cot)
+            np.divide(1.0, cot, out=cot)
+            rows = np.arange(cot.shape[0])
             cot[rows, origin[tile]] = 0.0
-            inv_sq[rows, origin[tile]] = 0.0
-            f[tile] = cot.sum(axis=1)
-            scale[tile] = np.abs(cot).sum(axis=1)
-            b_inv[tile] = inv_sq.sum(axis=1)
+            terms = w * cot
+            f[tile] = terms.sum(axis=1)
+            scale[tile] = np.abs(terms, out=terms).sum(axis=1)
+            cot *= cot
+            cot += 1.0
+            cot *= w
+            cot[rows, origin[tile]] = 0.0
+            b_inv[tile] = cot.sum(axis=1)
         return f - self.cot_kick, scale + abs(self.cot_kick), b_inv
 
     def _solve(self):
@@ -465,14 +471,19 @@ def evolve(matrix: FloquetMatrix, state: KickState,
     energies = np.empty(n_kicks + 1, dtype=np.float64)
     rows = min(1024, _RECORD_ELEMENTS // matrix.dim)
     block = np.empty((rows, matrix.dim), dtype=np.complex128)
-    psi = psi0.copy()
+    psi = psi0
     for lo in range(0, n_kicks + 1, rows):
         hi = min(lo + rows, n_kicks + 1)
         for j in range(hi - lo):
+            # each kick is written straight into its record row; psi is the
+            # previous row (or the same row, when a block holds one)
+            row = block[j]
             if lo + j:
-                psi = u * psi
-                psi += kicks @ (mu * (kicks_h @ psi))
-            block[j] = psi
+                np.multiply(u, psi, out=row)
+                row += kicks @ (mu * (kicks_h @ row))
+            else:
+                row[:] = psi0
+            psi = row
         recorded = block[: hi - lo]
         amplitudes[lo:hi] = recorded @ psi0.conj()
         energies[lo:hi] = (recorded.real ** 2 + recorded.imag ** 2) @ h0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -32,10 +33,7 @@ __all__ = [
 
 
 _CELL_TYPES = frozenset((int, float, str))
-
-
-def _format_value(value: Any) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -81,18 +79,19 @@ def write_csv(path: Path, table: ResultTable,
               footer: Sequence[Sequence[Any]] = ()) -> None:
     """Emit an RFC-4180-style CSV with full round-trip float precision.
 
-    Footer rows (for fitted summaries) are appended verbatim after the data
-    rows; they may have a different arity.
+    A row of ints and floats is written as the comma join of their reprs,
+    which is what csv.writer writes for it, since csv never quotes a
+    number; any other row goes through csv.writer.  Footer rows (for fitted
+    summaries) are appended verbatim after the data rows; they may have a
+    different arity.
     """
-    import io
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_format_value(cell) for cell in row])
-    for row in footer:
-        writer.writerow([_format_value(cell) for cell in row])
+    for row in (table.columns, *table.rows, *footer):
+        if _NUMBER_TYPES.issuperset(map(type, row)):
+            buffer.write(",".join(map(repr, row)) + "\n")
+        else:
+            writer.writerow(row)
     atomic_write_text(Path(path), buffer.getvalue())
 
 

@@ -61,6 +61,9 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 NORM_TOL = 1e-12
 POLE_TOL = 1e-12
+# Elements per (points x poles) tile of the secular sums: each temporary
+# array of a tile stays at 512 kB.
+_TILE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -416,12 +419,16 @@ def point_mass(lambda_over_hbar: float, b_inverse):
     return (1.0 / b_inverse) / (s * s)
 
 
-def cotangent_residual(x: float, state: KickState, theta: ThetaSequence,
-                       lambda_over_hbar: float) -> float:
+def cotangent_residual(x, state: KickState, theta: ThetaSequence,
+                       lambda_over_hbar: float):
     """sum_n |a_n|^2 cot((x - theta_n)/2) - cot(lambda/(2*hbar)).
 
     A root in x is an eigenphase of the rank-1 kicked operator built from
-    this state.  Raises PoleError naming the offending index when x sits on
+    this state.  ``x`` is one point, which gives a float, or an array of
+    points, which gives an array of the same shape whose every value is
+    bit-identical to the call at that point.  The points are summed in
+    tiles of at most _TILE_ELEMENTS terms, one tangent per term.  Raises
+    PoleError naming the offending index for the first point that sits on
     an eigenphase theta_n with nonzero weight.
     """
     n_terms = min(state.dim, len(theta))
@@ -429,13 +436,26 @@ def cotangent_residual(x: float, state: KickState, theta: ThetaSequence,
     mask = w > 0.0
     if not np.any(mask):
         raise ValueError("state carries no weight inside the phase window")
-    pole = _first_pole(mask, circle_distance(x, theta.values[:n_terms]))
-    if pole is not None:
-        raise PoleError(pole)
-    s_kick = _kick_sine(lambda_over_hbar)
-    half = 0.5 * (x - theta.values[:n_terms][mask])
-    total = float(np.sum(w[mask] * (np.cos(half) / np.sin(half))))
-    return total - math.cos(0.5 * lambda_over_hbar) / s_kick
+    cot_kick = math.cos(0.5 * lambda_over_hbar) / _kick_sine(lambda_over_hbar)
+    support = np.flatnonzero(mask)
+    w = w[support]
+    poles = theta.values[support]
+    points = np.asarray(x, dtype=np.float64).reshape(-1)
+    totals = np.empty(points.size)
+    step = max(1, _TILE_ELEMENTS // poles.size)
+    for lo in range(0, points.size, step):
+        column = points[lo:lo + step, None]
+        hits = np.flatnonzero(circle_distance(column, poles) < POLE_TOL)
+        if hits.size:
+            raise PoleError(int(support[hits[0] % poles.size]))
+        terms = column - poles
+        terms *= 0.5
+        np.tan(terms, out=terms)
+        np.divide(1.0, terms, out=terms)
+        terms *= w
+        totals[lo:lo + step] = terms.sum(axis=1)
+    totals -= cot_kick
+    return float(totals[0]) if np.ndim(x) == 0 else totals.reshape(np.shape(x))
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,8 @@ class TestParsers:
         for text in ("10:1:abc", "inf", "1e400", "1e3:inf:3", "nan:1e5:3"):
             with pytest.raises(ValueError, match="cannot parse size grid"):
                 parse_size_grid(text)
+        with pytest.raises(errors.ResourceLimitError):
+            parse_size_grid("1:2:10000001")
 
 
 class TestExitCodes:
@@ -114,6 +116,18 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not recwarn.list
+        assert not any(tmp_path.iterdir())
+
+    # the k sizes of lo:hi:k would take 8 TB per array; the count is
+    # checked against the term limit before numpy builds them
+    @pytest.mark.parametrize("command", ["weyl", "discrepancy", "scount"])
+    def test_grid_count_limit(self, command, tmp_path, capsys):
+        code = main([command, "--beta", "golden",
+                     "--n-grid", "1e2:1e3:1000000000000",
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "grid count 1000000000000 exceeds the limit" in \
+            capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["spectrum", "dynamics"])

@@ -11,6 +11,10 @@ from kickspec.errors import (
 )
 from kickspec.floquet import (
     MAX_KICKS,
+    _EPS,
+    _RECORD_ELEMENTS,
+    _SecularBlock,
+    _secular_blocks,
     build_floquet,
     eigen_decompose,
     evolve,
@@ -23,6 +27,7 @@ from kickspec.spectral import (
     BaseSpectrum,
     KickEnsemble,
     KickState,
+    alpha_sequence,
     cotangent_residual,
     full_support_state,
     orthonormal_ensemble,
@@ -227,6 +232,85 @@ class TestEigenDecompose:
             assert abs(dec.weights[k].sum() - 1.0) <= 1e-10
 
 
+def _sine_cosine_other_poles(self, origin, tau):
+    """Oracle of ``_SecularBlock._other_poles``: the same sums with a sine
+    and a cosine per term, cot = cos/sin and 1/sin^2 = 1/(sin*sin)."""
+    f = np.empty(tau.size)
+    scale = np.empty(tau.size)
+    b_inv = np.empty(tau.size)
+    w = self.pole_weights
+    for tile in self._tiles(tau.size):
+        half = self._half_angles(origin[tile], tau[tile])
+        s = np.sin(half)
+        cot = w * (np.cos(half) / s)
+        inv_sq = w / (s * s)
+        rows = np.arange(half.shape[0])
+        cot[rows, origin[tile]] = 0.0
+        inv_sq[rows, origin[tile]] = 0.0
+        f[tile] = cot.sum(axis=1)
+        scale[tile] = np.abs(cot).sum(axis=1)
+        b_inv[tile] = inv_sq.sum(axis=1)
+    return f - self.cot_kick, scale + abs(self.cot_kick), b_inv
+
+
+def _benchmark_operator(dim, strengths):
+    if len(strengths) == 1:
+        ensemble = rank1_full(dim, strength=strengths[0])
+    else:
+        ensemble = orthonormal_ensemble(0.75, len(strengths), dim, strengths)
+    return build_floquet(HARMONIC, ensemble, dim)
+
+
+# the three operators of the benchmark: spectrum at rank 1 and rank 4
+# (dim 512) and dynamics (rank 1, dim 256)
+RANK4_STRENGTHS = (3.135432, 4.384423, 5.381215, 4.383767)
+BENCHMARK_SHAPES = [
+    pytest.param(512, (1.0,), id="rank1-512"),
+    pytest.param(512, RANK4_STRENGTHS, id="rank4-512"),
+    pytest.param(256, (1.0,), id="rank1-256"),
+]
+
+
+class TestTangentSecularSums:
+    @pytest.mark.parametrize("dim, strengths", BENCHMARK_SHAPES)
+    def test_sums_match_sine_cosine_form(self, dim, strengths):
+        # at each root, seen from the pole on its left: f within half the
+        # solver's 8-ulp acceptance window, the other sums within 1e-14
+        blocks, _ = _secular_blocks(_benchmark_operator(dim, strengths))
+        for block in blocks:
+            origin = np.arange(block.poles.size)
+            tau = block.roots - TWO_PI * block.poles
+            tau = (tau + math.pi) % TWO_PI - math.pi
+            f, scale, b_inv = block._other_poles(origin, tau)
+            f_ref, scale_ref, b_inv_ref = _sine_cosine_other_poles(
+                block, origin, tau)
+            assert np.all(np.abs(f - f_ref) <= 4.0 * _EPS * scale_ref)
+            assert np.all(np.abs(scale - scale_ref) <= 1e-14 * scale_ref)
+            assert np.all(np.abs(b_inv - b_inv_ref) <= 1e-14 * b_inv_ref)
+
+    # At rank1-256 one root passes the residual test one Newton step later
+    # under the tangent sums: its offset from the pole moves by 3.3e-14
+    # relative, inside the acceptance window, and its weight by 3.4e-14.
+    @pytest.mark.parametrize("dim, strengths, weight_rtol", [
+        pytest.param(512, (1.0,), 1e-14, id="rank1-512"),
+        pytest.param(512, RANK4_STRENGTHS, 1e-14, id="rank4-512"),
+        pytest.param(256, (1.0,), 5e-14, id="rank1-256"),
+    ])
+    def test_matches_sine_cosine_sums(self, dim, strengths, weight_rtol,
+                                      monkeypatch):
+        v = _benchmark_operator(dim, strengths)
+        dec = eigen_decompose(v)
+        monkeypatch.setattr(_SecularBlock, "_other_poles",
+                            _sine_cosine_other_poles)
+        ref = eigen_decompose(v)
+        # eigenphases lie in [0, 2*pi): their bit patterns order as they do
+        ulps = np.abs(dec.eigenphases.view(np.int64)
+                      - ref.eigenphases.view(np.int64))
+        assert int(ulps.max()) <= 2
+        assert np.all(np.abs(dec.weights - ref.weights)
+                      <= weight_rtol * ref.weights)
+
+
 class TestEvolve:
     def test_two_level_alternation(self):
         spec, ensemble = two_level_setup()
@@ -255,7 +339,6 @@ class TestEvolve:
         dim = 64
         v = build_floquet(HARMONIC, rank1_full(dim, strength=1.3), dim)
         trace = evolve(v, v.ensemble.states[0], n_kicks=2000)
-        from kickspec.spectral import alpha_sequence
         ceiling = np.max(alpha_sequence(HARMONIC, dim))
         assert (trace.energies <= ceiling + 1e-9).all()
         assert (np.abs(trace.amplitudes) <= 1.0 + 1e-10).all()
@@ -284,6 +367,33 @@ class TestEvolve:
             c_n = np.vdot(psi0, power @ psi0)
             assert trace.amplitudes[n] == pytest.approx(c_n, abs=1e-9)
             power = v.entries @ power
+
+    def test_record_blocks_match_plain_kick_loop(self):
+        # 1024 states per record block at dim 256, so 2100 kicks cross two
+        # block edges.  The oracle kicks one state at a time and reduces the
+        # recorded states in the same blocks, so that only the kick loop is
+        # compared, bit for bit.
+        dim, n_kicks = 256, 2100
+        v = build_floquet(HARMONIC, rank1_full(dim), dim)
+        trace = evolve(v, v.ensemble.states[0], n_kicks)
+        psi0 = v.ensemble.states[0].coefficients
+        kicks = psi0.reshape(-1, dim).T
+        psi = psi0
+        states = [psi0]
+        for _ in range(n_kicks):
+            psi = v.u * psi
+            psi += kicks @ (v.mu * (kicks.conj().T @ psi))
+            states.append(psi)
+        states = np.array(states)
+        h0 = alpha_sequence(HARMONIC, dim)
+        rows = min(1024, _RECORD_ELEMENTS // dim)
+        assert rows < n_kicks // 2
+        for lo in range(0, n_kicks + 1, rows):
+            block = states[lo:lo + rows]
+            assert (trace.amplitudes[lo:lo + rows].tobytes()
+                    == (block @ psi0.conj()).tobytes())
+            assert (trace.energies[lo:lo + rows].tobytes()
+                    == ((block.real ** 2 + block.imag ** 2) @ h0).tobytes())
 
 
 class TestWienerAverage:

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
@@ -58,6 +61,56 @@ class TestCsv:
         write_csv(a, table)
         write_csv(b, table)
         assert a.read_bytes() == b.read_bytes()
+
+
+def csv_writer_bytes(table, footer=()):
+    """Oracle: csv.writer with QUOTE_MINIMAL over each cell's repr (a float)
+    or str (anything else)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    for row in (table.columns, *table.rows, *footer):
+        writer.writerow([repr(cell) if isinstance(cell, float) else str(cell)
+                         for cell in row])
+    return buffer.getvalue().encode()
+
+
+class TestCsvWriterEquivalence:
+    def test_number_rows_and_quoted_cells(self, tmp_path):
+        table = ResultTable(columns=("label", "n", "v"), rows=(
+            # rows of numbers only: written as the join of their reprs
+            (-0.0, math.inf, math.nan),
+            (123456789012345678901234567890, -math.inf, 5e-324),
+            (1, 0.1 + 0.2, -1e-300),
+            # rows with a str cell: written by csv.writer
+            ("a,b", 1, 0.1 + 0.2),
+            ('say "hi"', -2, -0.0),
+            ("cr\rx", 3, math.inf),
+            ("lf\nx", 4, math.nan),
+            ("", 123456789012345678901234567890, 1e-300),
+            ("divergent-trend", -7, 5e-324),
+        ))
+        path = tmp_path / "t.csv"
+        write_csv(path, table)
+        assert path.read_bytes() == csv_writer_bytes(table)
+
+    def test_single_empty_cell(self, tmp_path):
+        # csv writes a row whose only cell is empty as ""
+        table = ResultTable(columns=("only",), rows=(("",), ("x",), (1.5,)))
+        path = tmp_path / "t.csv"
+        write_csv(path, table)
+        assert path.read_bytes() == csv_writer_bytes(table)
+        assert path.read_text().splitlines()[1] == '""'
+
+    @pytest.mark.parametrize("slope", [-0.9312, math.nan])
+    def test_discrepancy_footer(self, slope, tmp_path):
+        table = ResultTable(columns=("N", "D_N", "ET_bound"),
+                            rows=((1000, 0.0015, 0.0123),
+                                  (10000, 0.00021, 0.0019)))
+        footer = [("slope", slope, "")]
+        path = tmp_path / "t.csv"
+        write_csv(path, table, footer=footer)
+        assert path.read_bytes() == csv_writer_bytes(table, footer)
+        assert path.read_text().splitlines()[-1] == f"slope,{slope!r},"
 
 
 class TestManifest:

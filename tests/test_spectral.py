@@ -367,6 +367,41 @@ class TestCotangentResidual:
                                1.0)
         assert err.value.index == 1
 
+    @staticmethod
+    def golden_setup(dim=4096):
+        return (full_support_state(0.75, dim),
+                theta_sequence(BaseSpectrum.harmonic(GOLDEN), dim))
+
+    def test_array_form_matches_scalar_calls(self):
+        # 4096 poles make 16 points a tile: 50 points span four tiles
+        state, theta = self.golden_setup()
+        xs = np.random.default_rng(17).uniform(0.0, TWO_PI, 50)
+        batch = cotangent_residual(xs, state, theta, 1.0)
+        scalar = [cotangent_residual(float(x), state, theta, 1.0) for x in xs]
+        assert all(type(value) is float for value in scalar)
+        assert batch.tobytes() == np.array(scalar).tobytes()
+
+    def test_batch_pole_names_first_pole_hit(self):
+        state, theta = self.golden_setup()
+        xs = np.random.default_rng(18).uniform(0.0, TWO_PI, 50)
+        xs[37] = theta.values[1234]  # in the third tile
+        xs[45] = theta.values[7]
+        with pytest.raises(PoleError) as err:
+            cotangent_residual(xs, state, theta, 1.0)
+        assert err.value.index == 1234
+        with pytest.raises(PoleError) as err:
+            cotangent_residual(np.array([math.pi / 4, math.pi]),
+                               equal_pair_state(), theta_zero_pi(), 1.0)
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("x", [1.0, np.array([1.0, 2.0])],
+                             ids=["scalar", "array"])
+    def test_no_weight_in_window(self, x):
+        # the only weight sits at index 2, past the two phases
+        state = KickState(coefficients=np.array([0, 0, 1], dtype=complex))
+        with pytest.raises(ValueError, match="no weight inside the phase"):
+            cotangent_residual(x, state, theta_zero_pi(), 1.0)
+
 
 class TestGammaWindow:
     def test_reference_values(self):
