@@ -121,8 +121,14 @@ def parse_size_grid(text: str) -> list[int]:
             if k > MAX_TERMS:
                 raise ResourceLimitError(
                     f"grid count {k} exceeds the limit {MAX_TERMS}")
-            sizes = np.exp(np.linspace(math.log(lo), math.log(hi), k))
-            grid = sorted({int(round(s)) for s in sizes})
+            sizes = np.linspace(math.log(lo), math.log(hi), k)
+            np.exp(sizes, out=sizes)
+            # rint rounds half to even, as round does; one int per distinct
+            # rounded size, without np.unique, which imports numpy.ma
+            np.rint(sizes, out=sizes)
+            sizes.sort()
+            grid = [int(s) for s in
+                    sizes[np.insert(sizes[1:] != sizes[:-1], 0, True)]]
         else:
             grid = sorted({int(round(float(part))) for part in text.split(",")})
         if not grid or grid[0] < 1:

@@ -15,15 +15,19 @@ the discrepancy, and is asserted in every sweep cell.
 
 ``divergence_scan`` and ``gamma_sweep`` share one sweep core.  It builds the
 phases theta_n, the exact D_N for every grid size and the amplitudes |a_n|
-of one window state per gamma once for the whole sweep.  Each x then takes
-one ``circle_view``: the circle distances to every phase and
-sin^2(d_n/2), computed once and read by every (gamma, N) cell of that x.
-A cell's ``CountReport`` is built in one step, from the inequality sides
-and one ``b_lower_bounds`` call on prefixes of that view, which derives
-#S(x), the widened count and the B^-1 partial sum.  Each of those formulas
-has one private home (``_s_count``, ``_wide_count`` and
-``spectral._b_inverse_sum``); ``count_set_S``, ``count_set_bourget`` and
-``b_inverse_partial`` are single-cell views of the same helpers.
+of one window state per gamma once for the whole sweep.  The x grid is cut
+into at most ``threads`` contiguous chunks.  Each chunk allocates its
+buffers once, over all N_max + 1 phases, and refills them in place for
+each x: the circle view (distances to every phase and sin^2(d_n/2)), then
+for each gamma one window, which holds the S(x) hit mask, the first
+weighted pole and the packed B^-1 terms.  A cell's ``CountReport`` is
+built in one step, from the inequality sides and one ``b_lower_bounds``
+call that reads prefixes of the view and the window: two counts, the
+widened count and one sum.  Each formula has one private home
+(``_s_hits``, ``_wide_count``, ``spectral._fill_circle_view`` and
+``spectral._b_inverse_terms``); ``count_set_S``, ``count_set_bourget`` and
+``b_inverse_partial`` are single-cell views of the same helpers on fresh
+arrays.
 
 Distances are circular on [0, 2*pi): plain absolute differences undercount
 near the wrap-around, and eigenphases live on the circle.
@@ -46,12 +50,15 @@ from .spectral import (
     CircleView,
     KickState,
     ThetaSequence,
-    _b_inverse_sum,
+    _amplitudes,
+    _Amplitudes,
+    _b_inverse_terms,
+    _BInverseTerms,
     _check_gamma,
     _check_prefix,
+    _fill_circle_view,
+    _power_law_amplitudes,
     circle_distance,
-    circle_view,
-    power_law_state,
     theta_sequence,
 )
 
@@ -153,13 +160,16 @@ def count_set_S(x: float, state: KickState, theta: ThetaSequence,
     window; indices with a_m = 0 can never qualify.
     """
     _check_prefix(n, min(state.dim, len(theta)))
-    return _s_count(np.abs(state.coefficients[:n]),
-                    circle_distance(x, theta.values[:n]))
+    return int(np.count_nonzero(_s_hits(
+        circle_distance(x, theta.values[:n]),
+        _amplitudes(np.abs(state.coefficients[:n])))))
 
 
-def _s_count(amplitudes: np.ndarray, dist: np.ndarray) -> int:
-    """#{m : 0 < |a_m| and dist_m <= |a_m|} over one prefix."""
-    return int(np.count_nonzero((amplitudes > 0.0) & (dist <= amplitudes)))
+def _s_hits(dist: np.ndarray, amplitudes: _Amplitudes,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The S(x) mask 0 < |a_m| and dist_m <= |a_m|, into ``out`` if given."""
+    hits = np.less_equal(dist, amplitudes.values, out=out)
+    return np.logical_and(hits, amplitudes.nonzero, out=hits)
 
 
 def count_set_bourget(x: float, theta: ThetaSequence, n: int,
@@ -230,15 +240,38 @@ class BInverseBounds:
     b_inverse: float
 
 
-def b_lower_bounds(view: CircleView, amplitudes: np.ndarray, gamma: float,
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """What one (x, gamma) pair gives each of its N cells to read by prefix:
+    the S(x) hit mask and the B^-1 terms."""
+
+    hits: np.ndarray
+    terms: _BInverseTerms
+
+
+def _window(view: CircleView, amplitudes: _Amplitudes, hits: np.ndarray,
+            terms: np.ndarray) -> _Window:
+    """Fill the boolean ``hits`` and the float ``terms``, both of the view's
+    length, with the window of one state over the ``view`` of one x.
+
+    ``hits`` first takes the pole test of the B^-1 terms, then the S(x)
+    mask, so one boolean buffer serves both.
+    """
+    b_terms = _b_inverse_terms(amplitudes, view, terms, pole_out=hits)
+    _s_hits(view.dist, amplitudes, out=hits)
+    return _Window(hits=hits, terms=b_terms)
+
+
+def b_lower_bounds(view: CircleView, window: _Window, gamma: float,
                    n: int) -> BInverseBounds:
     """Evaluate both lower bounds and assert the partial sum dominates them.
 
-    ``view`` is the ``circle_view`` of x over the phases and ``amplitudes``
-    are |a_n| of a power-law state with exponent ``gamma``; the cell reads
-    the first ``n`` entries of each, so one view and one amplitude vector
-    serve every prefix.  #S(x), the widened count and the partial sum all
-    come from those prefixes.
+    ``view`` is the ``CircleView`` of x over the phases and ``window`` the
+    window of a power-law state with exponent ``gamma`` over that view; the
+    cell reads the first ``n`` entries of each, so one view and one window
+    serve every prefix.  #S(x) and the widened count are two counts over
+    those prefixes, and the partial sum adds the window's packed terms of
+    the prefix.
 
     The per-term bound 4#S(x) is coefficient-agnostic: every counted index
     contributes at least 4 because |a_m| / dist >= 1 and sin(u) <= u.  The
@@ -247,14 +280,12 @@ def b_lower_bounds(view: CircleView, amplitudes: np.ndarray, gamma: float,
     without the normalisation constant, which desk-scale margins absorb.
     """
     _check_gamma(gamma)
-    _check_prefix(n, min(amplitudes.size, view.dist.size))
-    amplitudes = amplitudes[:n]
-    dist = view.dist[:n]
-    s_count = _s_count(amplitudes, dist)
+    _check_prefix(n, min(window.hits.size, view.dist.size))
+    s_count = int(np.count_nonzero(window.hits[:n]))
     per_term = 4.0 * s_count
-    s_wide = _wide_count(dist, n, gamma)
+    s_wide = _wide_count(view.dist[:n], n, gamma)
     widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - gamma))
-    value = _b_inverse_sum(np.square(amplitudes), dist, view.sin2[:n])
+    value = window.terms.partial_sum(n)
     # a weighted pole gives inf, which passes both comparisons
     if value < per_term:
         raise ToleranceError(
@@ -318,9 +349,11 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     """The one sweep core: cells in (gamma, x, N) order, one label per pair.
 
     theta, the per-N discrepancies and the amplitudes |a_n| of one window
-    state per gamma are built once.  Each x is then pure work on those
-    immutable arrays: one ``circle_view`` over all N_max + 1 phases serves
-    every (gamma, N) cell of that x, so the pool maps over x values.
+    state per gamma are built once.  The x grid is cut into at most
+    ``threads`` contiguous chunks, each pure work on those immutable arrays
+    in buffers of its own, allocated once over all N_max + 1 phases and
+    refilled for every x and gamma; the pool maps over chunks, and the
+    parts are joined in x order.
     """
     sizes = sorted(int(n) for n in n_grid)
     if len(sizes) < 2:
@@ -340,30 +373,47 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     n_max = sizes[-1]
     theta = theta_sequence(_monomial_spectrum(spec), n_max + 1)
     d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
-    amplitudes = {gamma: np.abs(power_law_state(gamma, n_max + 1).coefficients)
+    amplitudes = {gamma: _amplitudes(_power_law_amplitudes(gamma, n_max + 1))
                   for gamma in gammas}
 
-    def cell(x: float, view: CircleView, gamma: float, n: int) -> CountReport:
+    def cell(x: float, view: CircleView, window: _Window, gamma: float,
+             n: int) -> CountReport:
         a_count, lhs, rhs = _inequality_sides(
             x, make_interval(x, n, gamma, variant),
             theta.unit_values[1:n + 1], d_by_n[n])
-        bounds = b_lower_bounds(view, amplitudes[gamma], gamma, n + 1)
+        bounds = b_lower_bounds(view, window, gamma, n + 1)
         return CountReport(x=x, gamma=gamma, n=n, a_count=a_count,
                            s_count=bounds.s_count, lhs=lhs, rhs=rhs,
                            b_inverse=bounds.b_inverse, holds=True)
 
-    def scan(x: float) -> dict[float, list[CountReport]]:
-        view = circle_view(x, theta.values)
-        return {gamma: [cell(x, view, gamma, n) for n in sizes]
-                for gamma in gammas}
+    def scan(chunk: Sequence[float]) -> list[dict[float, list[CountReport]]]:
+        size = n_max + 1
+        view = CircleView(dist=np.empty(size), sin2=np.empty(size))
+        hits = np.empty(size, dtype=bool)
+        terms = np.empty(size)
+        parts = []
+        for x in chunk:
+            _fill_circle_view(x, theta.values, view)
+            part = {}
+            for gamma in gammas:
+                window = _window(view, amplitudes[gamma], hits, terms)
+                part[gamma] = [cell(x, view, window, gamma, n) for n in sizes]
+            parts.append(part)
+        return parts
 
-    if threads > 1 and len(xs) > 1:
+    # contiguous chunks, the larger ones first: 5 x values in 3 chunks
+    # are 2 + 2 + 1
+    count = max(1, min(threads, len(xs)))
+    cuts = [-(-len(xs) * k // count) for k in range(count + 1)]
+    chunks = [xs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    if len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_x = list(pool.map(scan, xs))
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            per_x = [part for parts in pool.map(scan, chunks)
+                     for part in parts]
     else:
-        per_x = [scan(x) for x in xs]
+        per_x = scan(xs)
     by_pair = {(x, gamma): part[gamma]
                for gamma in gammas for x, part in zip(xs, per_x)}
     return SweepResult(
@@ -382,9 +432,9 @@ def divergence_scan(spec: SequenceSpec, gamma: float,
     Every cell also carries the discrepancy inequality sides and the partial
     B^-1 sum, with the lower bounds asserted.  theta, the per-N
     discrepancies and the window amplitudes are computed once per scan; each
-    x is pure work on those immutable arrays and its own circle view, so it
-    may run on a thread pool, and results are always assembled in x-grid
-    order regardless of completion order.
+    contiguous chunk of the x grid is pure work on those immutable arrays
+    and buffers of its own, so chunks may run on a thread pool, and results
+    are always assembled in x-grid order regardless of completion order.
     """
     return _sweep(spec, (gamma,), x_grid, n_grid, variant, threads)
 
@@ -397,11 +447,12 @@ def gamma_sweep(j: int, beta: RationalApprox, gamma_grid: Sequence[float],
 
     theta and the per-N discrepancies depend only on (j, beta, max N), so
     they are built once for the whole grid, with the amplitudes of one
-    window state per gamma; the thread pool maps over x values, each with
-    one circle view for every gamma, and cells come back in (gamma, x, N)
-    order.  No label is asserted: the counting argument forces divergence
-    only inside ``spectral.gamma_window``, and the regime outside it depends
-    on the unproven Weyl-sum exponent.
+    window state per gamma; the thread pool maps over contiguous chunks of
+    the x grid, each refilling one circle view per x and one window per
+    (x, gamma), and cells come back in (gamma, x, N) order.  No label is
+    asserted: the counting argument forces divergence only inside
+    ``spectral.gamma_window``, and the regime outside it depends on the
+    unproven Weyl-sum exponent.
     """
     return _sweep(SequenceSpec(j=j, beta=beta),
                   tuple(float(g) for g in gamma_grid), x_grid, n_grid,

@@ -16,9 +16,9 @@ B^-1(x) = sum |a_n|^2 / sin^2((x - theta_n)/2), the point-mass formula, and
 the cotangent secular condition whose roots are the kicked eigenphases.
 Three rules of the kick are decided here and nowhere else: a weighted pole
 makes B^-1(x) = inf, where the point mass B(x)/sin^2(lambda/(2*hbar)) is 0
-(``_b_inverse_sum``); a kick with |sin(lambda/(2*hbar))| < POLE_TOL is a
-no-op (``_kick_sine``); and a power law belongs to the divergent regime
-1/2 < gamma <= 1 (``_check_gamma``).
+(``_first_pole`` and ``_BInverseTerms``); a kick with
+|sin(lambda/(2*hbar))| < POLE_TOL is a no-op (``_kick_sine``); and a power
+law belongs to the divergent regime 1/2 < gamma <= 1 (``_check_gamma``).
 """
 
 from __future__ import annotations
@@ -168,17 +168,28 @@ def theta_sequence(spec: BaseSpectrum, n_terms: int) -> ThetaSequence:
     return ThetaSequence(unit_values=unit)
 
 
-def circle_distance(x: float, angles: np.ndarray) -> np.ndarray:
-    """Distance on the circle of circumference 2*pi, in [0, pi].
+def _fill_circle_distance(x, angles: np.ndarray, out: np.ndarray,
+                          spare: np.ndarray) -> np.ndarray:
+    """Distance on the circle of circumference 2*pi, in [0, pi], into ``out``.
 
-    The reduction runs in place on one fresh array, never on ``angles``.
-    On the nonnegative |angle - x|, ``fmod`` equals numpy's ``%`` bit for
-    bit (an infinite difference gives nan), at about half the cost.
+    The one home of the reduction.  On the nonnegative |angle - x|, ``fmod``
+    equals numpy's ``%`` bit for bit (an infinite difference gives nan), at
+    about half the cost; ``spare``, of the same shape, takes 2*pi - d.
+    ``angles`` is only read.
     """
-    d = np.asarray(angles, dtype=np.float64) - x
-    np.abs(d, out=d)
-    np.fmod(d, TWO_PI, out=d)
-    return np.minimum(d, TWO_PI - d, out=d)
+    np.subtract(angles, x, out=out)
+    np.abs(out, out=out)
+    np.fmod(out, TWO_PI, out=out)
+    np.subtract(TWO_PI, out, out=spare)
+    return np.minimum(out, spare, out=out)
+
+
+def circle_distance(x, angles: np.ndarray) -> np.ndarray:
+    """Distance on the circle of circumference 2*pi, in [0, pi], as a fresh
+    array of the broadcast shape of ``x`` and ``angles``."""
+    angles = np.asarray(angles, dtype=np.float64)
+    out = np.empty(np.broadcast(angles, x).shape)
+    return _fill_circle_distance(x, angles, out, np.empty_like(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,24 +197,32 @@ class CircleView:
     """Circle distances d_n = dist(x, theta_n) and sin^2(d_n/2) of one x.
 
     Both arrays are elementwise, so the view of a prefix is the prefix of
-    the view, bit for bit.
+    the view, bit for bit.  A sweep holds one view per worker and refills
+    its arrays for each x.
     """
 
     dist: np.ndarray
     sin2: np.ndarray
 
 
-def circle_view(x: float, angles: np.ndarray) -> CircleView:
-    """One distance pass from x over ``angles``, and sin^2(d/2) beside it.
+def _fill_circle_view(x: float, angles: np.ndarray, view: CircleView) -> None:
+    """Refill ``view`` in place with one distance pass from x over ``angles``
+    and sin^2(d/2) beside it.
 
-    This is the one place sin^2 of a circle distance is computed; it fills
-    a second fresh array in place.
+    This is the one place sin^2 of a circle distance is computed.
     """
-    dist = circle_distance(x, angles)
-    sin2 = np.multiply(dist, 0.5)
+    _fill_circle_distance(x, angles, view.dist, view.sin2)
+    sin2 = np.multiply(view.dist, 0.5, out=view.sin2)
     np.sin(sin2, out=sin2)
     sin2 *= sin2
-    return CircleView(dist=dist, sin2=sin2)
+
+
+def circle_view(x: float, angles: np.ndarray) -> CircleView:
+    """The ``CircleView`` of x over ``angles``, in two fresh arrays."""
+    angles = np.asarray(angles, dtype=np.float64)
+    view = CircleView(dist=np.empty(angles.shape), sin2=np.empty(angles.shape))
+    _fill_circle_view(x, angles, view)
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,19 +270,19 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma = {gamma} outside the divergent regime (1/2, 1]")
 
 
-def power_law_state(gamma: float, dim: int,
-                    support: Iterable[int] | None = None) -> KickState:
-    """Normalised state with a_n = C * n**(-gamma) on the support, 0 elsewhere.
+def _power_law_amplitudes(gamma: float, dim: int,
+                          support: Iterable[int] | None = None) -> np.ndarray:
+    """Real coefficients C * n**(-gamma) on the support and 0 elsewhere.
 
-    Requires 1/2 < gamma <= 1: square-summable so C exists, but not summable,
-    which is the regime where the kicked operator can grow a continuous
-    spectral component.  Index 0 is excluded (n**(-gamma) is undefined there).
+    The one home of the power law: ``power_law_state`` wraps it, and the
+    counting sweep reads it as |a_n| without building a complex state.
     """
     _check_gamma(gamma)
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if support is None:
-        idx = np.arange(1, dim)
+        idx = slice(1, dim)
+        raw = np.arange(1, dim, dtype=np.float64)
     else:
         indices = sorted(int(i) for i in support)
         if not indices:
@@ -273,11 +292,24 @@ def power_law_state(gamma: float, dim: int,
         if len(set(indices)) != len(indices):
             raise ValueError("support has repeated indices")
         idx = np.asarray(indices)
-    raw = idx.astype(np.float64) ** (-gamma)
-    norm = 1.0 / math.sqrt(float(np.sum(raw**2)))
-    coeffs = np.zeros(dim, dtype=np.complex128)
-    coeffs[idx] = norm * raw
-    return KickState(coefficients=coeffs, gamma=gamma)
+        raw = idx.astype(np.float64)
+    raw **= -gamma
+    raw *= 1.0 / math.sqrt(float(np.sum(raw**2)))
+    coeffs = np.zeros(dim)
+    coeffs[idx] = raw
+    return coeffs
+
+
+def power_law_state(gamma: float, dim: int,
+                    support: Iterable[int] | None = None) -> KickState:
+    """Normalised state with a_n = C * n**(-gamma) on the support, 0 elsewhere.
+
+    Requires 1/2 < gamma <= 1: square-summable so C exists, but not summable,
+    which is the regime where the kicked operator can grow a continuous
+    spectral component.  Index 0 is excluded (n**(-gamma) is undefined there).
+    """
+    return KickState(coefficients=_power_law_amplitudes(gamma, dim, support),
+                     gamma=gamma)
 
 
 def full_support_state(gamma: float, dim: int) -> KickState:
@@ -365,31 +397,90 @@ def b_inverse_partial(x: float, state: KickState, theta: ThetaSequence,
     """
     _check_prefix(n_terms, min(state.dim, len(theta)))
     view = circle_view(x, theta.values[:n_terms])
-    return _b_inverse_sum(np.abs(state.coefficients[:n_terms]) ** 2,
-                          view.dist, view.sin2)
+    amplitudes = _amplitudes(np.abs(state.coefficients[:n_terms]))
+    terms = _b_inverse_terms(amplitudes, view, np.empty(n_terms))
+    return terms.partial_sum(n_terms)
 
 
-def _first_pole(mask: np.ndarray, dist: np.ndarray) -> int | None:
-    """First index that carries weight and lies within POLE_TOL of x."""
-    hits = np.flatnonzero(mask & (dist < POLE_TOL))
+def _first_pole(mask: np.ndarray, dist: np.ndarray,
+                out: np.ndarray | None = None) -> int | None:
+    """First index that carries weight and lies within POLE_TOL of x.
+
+    ``out``, a boolean array of the same length if given, takes the test.
+    """
+    near = np.less(dist, POLE_TOL, out=out)
+    np.logical_and(near, mask, out=near)
+    hits = np.flatnonzero(near)
     return int(hits[0]) if hits.size else None
 
 
-def _b_inverse_sum(weights: np.ndarray, dist: np.ndarray,
-                   sin2: np.ndarray) -> float:
-    """sum w_n / sin^2(d_n/2) over w_n > 0 from the weights |a_n|**2 and the
-    ``circle_view`` of one prefix, or ``math.inf`` on a weighted pole.
+@dataclass(frozen=True, eq=False)
+class _Amplitudes:
+    """``values`` |a_n| of one state with its two supports: ``nonzero``,
+    |a_n| > 0, and ``weighted``, |a_n|**2 > 0, which a 1e-170 amplitude is
+    not.
 
-    ``weights`` must be a fresh array: the terms are divided into it in
-    place under the w_n > 0 mask, which one compress then packs, so the sum
-    adds the same elements in the same order as a sum over the masked
-    subset.  ``dist`` and ``sin2`` are only read.
+    ``run`` is the weighted support as one slice when it is contiguous, as
+    for a power law, which is zero only at n = 0; it is None otherwise.
     """
-    mask = weights > 0.0
-    if _first_pole(mask, dist) is not None:
-        return math.inf
-    np.divide(weights, sin2, out=weights, where=mask)
-    return float(np.sum(weights[mask]))
+
+    values: np.ndarray
+    nonzero: np.ndarray
+    weighted: np.ndarray
+    run: slice | None
+
+
+def _amplitudes(values: np.ndarray) -> _Amplitudes:
+    weighted = np.square(values) > 0.0
+    first = int(np.argmax(weighted))
+    stop = weighted.size - int(np.argmax(weighted[::-1]))
+    contiguous = weighted[first] and np.count_nonzero(weighted) == stop - first
+    return _Amplitudes(values=values, nonzero=values > 0.0, weighted=weighted,
+                       run=slice(first, stop) if contiguous else None)
+
+
+@dataclass(frozen=True, eq=False)
+class _BInverseTerms:
+    """The B^-1(x) terms of one x and one state, read by prefix.
+
+    ``packed`` holds w_n / sin^2(d_n/2) over w_n > 0 in index order, up to
+    ``pole``, the first weighted pole; every prefix that reaches the pole
+    sums to ``math.inf``.
+    """
+
+    weighted: np.ndarray
+    pole: int | None
+    packed: np.ndarray
+
+    def partial_sum(self, n: int) -> float:
+        """sum over the indices below n: the first count(w_m > 0, m < n)
+        packed terms, the same elements in the same order as a sum over
+        the masked prefix."""
+        if self.pole is not None and self.pole < n:
+            return math.inf
+        return float(np.sum(self.packed[:np.count_nonzero(self.weighted[:n])]))
+
+
+def _b_inverse_terms(amplitudes: _Amplitudes, view: CircleView,
+                     out: np.ndarray,
+                     pole_out: np.ndarray | None = None) -> _BInverseTerms:
+    """Fill ``out`` with w_n / sin^2(d_n/2) over w_n = |a_n|**2 > 0 before
+    the first weighted pole, from the amplitudes and the ``view`` of one x.
+
+    ``out`` has the length of the view; ``pole_out``, a boolean array of
+    that length if given, takes the pole test.  The packed terms are a view
+    of ``out`` when the support is one run and one compress otherwise.
+    """
+    pole = _first_pole(amplitudes.weighted, view.dist, pole_out)
+    stop = amplitudes.weighted.size if pole is None else pole
+    terms = out[:stop]
+    weighted = amplitudes.weighted[:stop]
+    np.square(amplitudes.values[:stop], out=terms)
+    np.divide(terms, view.sin2[:stop], out=terms, where=weighted)
+    run = amplitudes.run
+    packed = terms[weighted] if run is None else terms[run]
+    return _BInverseTerms(weighted=amplitudes.weighted, pole=pole,
+                          packed=packed)
 
 
 def _kick_sine(phase: float) -> float:

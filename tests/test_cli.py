@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kickspec
@@ -56,6 +57,16 @@ class TestParsers:
                 parse_size_grid(text)
         with pytest.raises(errors.ResourceLimitError):
             parse_size_grid("1:2:10000001")
+
+    @pytest.mark.parametrize("text", ["1:10:100", "1e2:1e3:100000",
+                                      "1e3:1e300:50"])
+    def test_range_grid_equals_rounded_set(self, text):
+        # the per-float form the range grid replaced, on the same sizes
+        lo, hi, k = (float(part) for part in text.split(":"))
+        sizes = np.exp(np.linspace(math.log(lo), math.log(hi), int(k)))
+        grid = parse_size_grid(text)
+        assert grid == sorted({int(round(s)) for s in sizes})
+        assert all(type(n) is int for n in grid)
 
 
 class TestExitCodes:

@@ -173,11 +173,20 @@ class TestInequalityCheck:
         assert report.holds
 
 
+def sweep_window(view, amplitudes):
+    """The window the sweep builds over ``view`` for the amplitudes |a_n|,
+    in fresh buffers."""
+    size = view.dist.size
+    return counting_mod._window(view, spectral_mod._amplitudes(amplitudes),
+                                np.empty(size, dtype=bool), np.empty(size))
+
+
 def one_pass_bounds(x, state, theta, n):
-    """b_lower_bounds of one cell, from the view and amplitudes of the
+    """b_lower_bounds of one cell, from the view and the window of the
     whole state and phase sequence, as the sweep passes them."""
-    return b_lower_bounds(circle_view(x, theta.values),
-                          np.abs(state.coefficients), state.gamma, n)
+    view = circle_view(x, theta.values)
+    window = sweep_window(view, np.abs(state.coefficients))
+    return b_lower_bounds(view, window, state.gamma, n)
 
 
 class TestBLowerBounds:
@@ -381,6 +390,33 @@ class TestDivergenceScan:
         for a, b in zip(seq.cells, par.cells):
             assert a == b
 
+    def test_weighted_phase_is_a_pole_from_its_index_on(self):
+        n_grid = [300, 1000, 1001, 3000]
+        theta = theta_sequence(
+            BaseSpectrum(beta=(Fraction(0), GOLDEN.as_fraction())),
+            n_grid[-1] + 1)
+        # theta_1001 = 2 pi {1001 phi}, near 1.30 pi, weighs in a prefix
+        # of N + 1 phases once N >= 1001
+        m = 1001
+        x = float(theta.values[m])
+        sweep = divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.75, [x],
+                                n_grid)
+        assert [c.n for c in sweep.cells] == n_grid
+        for cell in sweep.cells:
+            if cell.n < m:
+                assert math.isfinite(cell.b_inverse)
+            else:
+                assert cell.b_inverse == math.inf
+        # theta_0 = 0 lies outside the scan's x range (0, 2*pi), so its
+        # zero weight is checked on the window the sweep builds
+        view = circle_view(float(theta.values[0]), theta.values)
+        window = sweep_window(view, spectral_mod._power_law_amplitudes(
+            0.75, view.dist.size))
+        assert window.terms.pole is None
+        for n in n_grid:
+            assert math.isfinite(
+                b_lower_bounds(view, window, 0.75, n + 1).b_inverse)
+
     def test_every_cell_satisfies_inequality(self):
         spec = SequenceSpec(j=2, beta=GOLDEN)
         xs = default_x_grid(3, n_min=1000, gamma=0.6)
@@ -466,13 +502,13 @@ class TestSweepCore:
 
     def test_one_distance_pass_per_x(self, monkeypatch):
         calls = []
+        fill = spectral_mod._fill_circle_distance
 
-        def counted(x, angles):
+        def counted(x, angles, out, spare):
             calls.append(len(angles))
-            return circle_distance(x, angles)
+            return fill(x, angles, out, spare)
 
-        for module in (spectral_mod, counting_mod):
-            monkeypatch.setattr(module, "circle_distance", counted)
+        monkeypatch.setattr(spectral_mod, "_fill_circle_distance", counted)
         n_grid = [500, 1000, 2000]
         xs = default_x_grid(3, n_min=n_grid[0], gamma=0.6)
         sweep = gamma_sweep(1, GOLDEN, [0.6, 0.8], xs, n_grid, threads=2)
@@ -490,17 +526,46 @@ class TestSweepCore:
         pole = float(theta.values[4])
         states = {g: power_law_state(g, n_grid[-1] + 1) for g in gammas}
         grid = default_x_grid(4, n_min=n_grid[0], gamma=min(gammas))
-        for xs in ((pole,), (grid[0], pole), (*grid, pole)):
+        # 1, 2, 3 and 5 x values: uneven chunks and more threads than x
+        for xs in ((pole,), (grid[0], pole), (*grid[:2], pole),
+                   (*grid, pole)):
             runs = [gamma_sweep(1, GOLDEN, gammas, xs, n_grid, threads=t)
-                    for t in (1, 2, 3)]
+                    for t in (1, 2, 3, 8)]
             for run in runs[1:]:
                 assert run.cells == runs[0].cells
                 assert run.labels == runs[0].labels
+            for cell in runs[0].cells:
+                state = states[cell.gamma]
+                assert cell.s_count == count_set_S(cell.x, state, theta,
+                                                   cell.n + 1)
+                assert cell.b_inverse.hex() == b_inverse_partial(
+                    cell.x, state, theta, cell.n + 1).hex()
             on_pole = [c for c in runs[0].cells if c.x == pole]
             assert len(on_pole) == len(gammas) * len(n_grid)
             for cell in on_pole:
                 assert cell.b_inverse == math.inf == b_inverse_partial(
                     pole, states[cell.gamma], theta, cell.n + 1)
+
+    @pytest.mark.parametrize("threads, sizes", [
+        (1, [5]), (2, [3, 2]), (3, [2, 2, 1]), (8, [1] * 5)])
+    def test_each_chunk_refills_one_view(self, threads, sizes, monkeypatch):
+        seen = []
+        fill = counting_mod._fill_circle_view
+
+        def recorded(x, angles, view):
+            seen.append((view, x))
+            fill(x, angles, view)
+
+        monkeypatch.setattr(counting_mod, "_fill_circle_view", recorded)
+        xs = default_x_grid(5, n_min=300, gamma=0.6)
+        gamma_sweep(1, GOLDEN, (0.6, 0.8), xs, [300, 1000], threads=threads)
+        # seen holds every view, so no two chunks share an id
+        chunks = {}
+        for view, x in seen:
+            chunks.setdefault(id(view), []).append(x)
+        cuts = np.cumsum([0] + sizes)
+        assert sorted(chunks.values()) == sorted(
+            list(xs[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
     def test_repeated_x_rejected_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
