@@ -14,6 +14,7 @@ Three layers:
 """
 
 from .counting import (
+    MAX_THREADS,
     MAX_X_COUNT,
     BInverseBounds,
     CountReport,

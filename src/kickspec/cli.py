@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import default_x_grid, gamma_sweep
+from .counting import _check_threads, default_x_grid, gamma_sweep
 from .equidistribution import (
     ET_SIZE_FLOOR,
     MAX_ET_PRODUCTS,
@@ -297,9 +297,10 @@ def cmd_spectrum(args) -> int:
     }
     if k_count == 1:
         theta = theta_sequence(spec, args.dim)
+        # the weighted eigenphases are the roots; deflated copies sit on poles
         residuals = cotangent_residual(
-            decomposition.eigenphases, matrix.ensemble.states[0], theta,
-            matrix.kick_phases[0])
+            decomposition.eigenphases[decomposition.weights[0] > 0.0],
+            matrix.ensemble.states[0], theta, matrix.kick_phases[0])
         summary["max_secular_residual"] = float(np.max(np.abs(residuals)))
     out = Path(args.out)
     write_csv(out / "eigenphases.csv",
@@ -332,6 +333,8 @@ def _cached_scount_tables(payload) -> tuple[ResultTable, ResultTable] | None:
 
 
 def cmd_scount(args) -> int:
+    # before the phases, the buffers, the threads and the cache lookup
+    _check_threads(args.threads)
     beta = parse_beta_spec(args.beta, args.precision)
     grid = parse_size_grid(args.n_grid)
     gammas = parse_float_list(args.gamma_grid)

@@ -16,18 +16,16 @@ the discrepancy, and is asserted in every sweep cell.
 ``divergence_scan`` and ``gamma_sweep`` share one sweep core.  It builds the
 phases theta_n, the exact D_N for every grid size and the amplitudes |a_n|
 of one window state per gamma once for the whole sweep.  The x grid is cut
-into at most ``threads`` contiguous chunks.  Each chunk allocates its
-buffers once, over all N_max + 1 phases, and refills them in place for
-each x: the circle view (distances to every phase and sin^2(d_n/2)), then
-for each gamma one window, which holds the S(x) hit mask, the first
-weighted pole and the packed B^-1 terms.  A cell's ``CountReport`` is
-built in one step, from the inequality sides and one ``b_lower_bounds``
-call that reads prefixes of the view and the window: two counts, the
-widened count and one sum.  Each formula has one private home
-(``_s_hits``, ``_wide_count``, ``spectral._fill_circle_view`` and
-``spectral._b_inverse_terms``); ``count_set_S``, ``count_set_bourget`` and
-``b_inverse_partial`` are single-cell views of the same helpers on fresh
-arrays.
+into at most ``threads`` contiguous chunks.  Each chunk holds one
+``spectral._CircleWindow`` over all N_max + 1 phases and refills it in
+place: once per x with the distances to every phase and sin^2(d_n/2), then
+once per gamma with the S(x) hit mask, the first weighted pole and the
+packed B^-1 terms.  A cell's ``CountReport`` is built in one step, from
+the inequality sides and one ``b_lower_bounds`` call that reads prefixes
+of the window: two counts, the widened count and one sum.  Each formula
+has one private home (``_wide_count`` and the window's fills);
+``count_set_S``, ``count_set_bourget`` and ``b_inverse_partial`` are
+single-cell views of the same code on fresh arrays.
 
 Distances are circular on [0, 2*pi): plain absolute differences undercount
 near the wrap-around, and eigenphases live on the circle.
@@ -47,16 +45,12 @@ from .errors import IntervalRangeError, ResourceLimitError, ToleranceError
 from .rationals import RationalApprox, golden_ratio
 from .spectral import (
     BaseSpectrum,
-    CircleView,
     KickState,
     ThetaSequence,
     _amplitudes,
-    _Amplitudes,
-    _b_inverse_terms,
-    _BInverseTerms,
     _check_gamma,
     _check_prefix,
-    _fill_circle_view,
+    _CircleWindow,
     _power_law_amplitudes,
     circle_distance,
     theta_sequence,
@@ -64,6 +58,7 @@ from .spectral import (
 
 __all__ = [
     "MAX_X_COUNT",
+    "MAX_THREADS",
     "IntervalJ",
     "CountReport",
     "BInverseBounds",
@@ -86,6 +81,15 @@ GrowthLabel = Literal["divergent-trend", "bounded", "inconclusive"]
 _INEQ_SLACK = 1e-12
 #: Most x values ``default_x_grid`` builds (it may try 1000 candidates each).
 MAX_X_COUNT = 10**4
+#: Most worker threads a sweep starts; each holds 25 bytes per phase.
+MAX_THREADS = 64
+
+
+def _check_threads(threads: int) -> None:
+    """Reject more than MAX_THREADS worker threads before any work."""
+    if threads > MAX_THREADS:
+        raise ResourceLimitError(
+            f"{threads} threads exceed the limit {MAX_THREADS}")
 
 
 def bourget_half_width(n: int, gamma: float) -> float:
@@ -160,16 +164,8 @@ def count_set_S(x: float, state: KickState, theta: ThetaSequence,
     window; indices with a_m = 0 can never qualify.
     """
     _check_prefix(n, min(state.dim, len(theta)))
-    return int(np.count_nonzero(_s_hits(
-        circle_distance(x, theta.values[:n]),
-        _amplitudes(np.abs(state.coefficients[:n])))))
-
-
-def _s_hits(dist: np.ndarray, amplitudes: _Amplitudes,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """The S(x) mask 0 < |a_m| and dist_m <= |a_m|, into ``out`` if given."""
-    hits = np.less_equal(dist, amplitudes.values, out=out)
-    return np.logical_and(hits, amplitudes.nonzero, out=hits)
+    return _CircleWindow.over(x, theta.values[:n],
+                              np.abs(state.coefficients[:n])).s_count(n)
 
 
 def count_set_bourget(x: float, theta: ThetaSequence, n: int,
@@ -240,38 +236,15 @@ class BInverseBounds:
     b_inverse: float
 
 
-@dataclass(frozen=True, eq=False)
-class _Window:
-    """What one (x, gamma) pair gives each of its N cells to read by prefix:
-    the S(x) hit mask and the B^-1 terms."""
-
-    hits: np.ndarray
-    terms: _BInverseTerms
-
-
-def _window(view: CircleView, amplitudes: _Amplitudes, hits: np.ndarray,
-            terms: np.ndarray) -> _Window:
-    """Fill the boolean ``hits`` and the float ``terms``, both of the view's
-    length, with the window of one state over the ``view`` of one x.
-
-    ``hits`` first takes the pole test of the B^-1 terms, then the S(x)
-    mask, so one boolean buffer serves both.
-    """
-    b_terms = _b_inverse_terms(amplitudes, view, terms, pole_out=hits)
-    _s_hits(view.dist, amplitudes, out=hits)
-    return _Window(hits=hits, terms=b_terms)
-
-
-def b_lower_bounds(view: CircleView, window: _Window, gamma: float,
+def b_lower_bounds(window: _CircleWindow, gamma: float,
                    n: int) -> BInverseBounds:
     """Evaluate both lower bounds and assert the partial sum dominates them.
 
-    ``view`` is the ``CircleView`` of x over the phases and ``window`` the
-    window of a power-law state with exponent ``gamma`` over that view; the
-    cell reads the first ``n`` entries of each, so one view and one window
-    serve every prefix.  #S(x) and the widened count are two counts over
-    those prefixes, and the partial sum adds the window's packed terms of
-    the prefix.
+    ``window`` is the ``spectral._CircleWindow`` of x over the phases,
+    filled with a power-law state of exponent ``gamma``; the cell reads its
+    first ``n`` entries, so one window serves every prefix.  #S(x) and the
+    widened count, from the distances, are two counts over the prefix, and
+    the partial sum adds the window's packed terms of the prefix.
 
     The per-term bound 4#S(x) is coefficient-agnostic: every counted index
     contributes at least 4 because |a_m| / dist >= 1 and sin(u) <= u.  The
@@ -280,12 +253,12 @@ def b_lower_bounds(view: CircleView, window: _Window, gamma: float,
     without the normalisation constant, which desk-scale margins absorb.
     """
     _check_gamma(gamma)
-    _check_prefix(n, min(window.hits.size, view.dist.size))
-    s_count = int(np.count_nonzero(window.hits[:n]))
+    _check_prefix(n, window.dist.size)
+    s_count = window.s_count(n)
     per_term = 4.0 * s_count
-    s_wide = _wide_count(view.dist[:n], n, gamma)
+    s_wide = _wide_count(window.dist[:n], n, gamma)
     widened = (s_wide / math.pi**2) * math.log(n) / float(n) ** (2.0 * (1.0 - gamma))
-    value = window.terms.partial_sum(n)
+    value = window.b_inverse(n)
     # a weighted pole gives inf, which passes both comparisons
     if value < per_term:
         raise ToleranceError(
@@ -355,6 +328,7 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     refilled for every x and gamma; the pool maps over chunks, and the
     parts are joined in x order.
     """
+    _check_threads(threads)
     sizes = sorted(int(n) for n in n_grid)
     if len(sizes) < 2:
         raise ValueError("n_grid needs at least two sizes")
@@ -376,28 +350,25 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
     amplitudes = {gamma: _amplitudes(_power_law_amplitudes(gamma, n_max + 1))
                   for gamma in gammas}
 
-    def cell(x: float, view: CircleView, window: _Window, gamma: float,
+    def cell(x: float, window: _CircleWindow, gamma: float,
              n: int) -> CountReport:
         a_count, lhs, rhs = _inequality_sides(
             x, make_interval(x, n, gamma, variant),
             theta.unit_values[1:n + 1], d_by_n[n])
-        bounds = b_lower_bounds(view, window, gamma, n + 1)
+        bounds = b_lower_bounds(window, gamma, n + 1)
         return CountReport(x=x, gamma=gamma, n=n, a_count=a_count,
                            s_count=bounds.s_count, lhs=lhs, rhs=rhs,
                            b_inverse=bounds.b_inverse, holds=True)
 
     def scan(chunk: Sequence[float]) -> list[dict[float, list[CountReport]]]:
-        size = n_max + 1
-        view = CircleView(dist=np.empty(size), sin2=np.empty(size))
-        hits = np.empty(size, dtype=bool)
-        terms = np.empty(size)
+        window = _CircleWindow(n_max + 1)
         parts = []
         for x in chunk:
-            _fill_circle_view(x, theta.values, view)
+            window.fill_x(x, theta.values)
             part = {}
             for gamma in gammas:
-                window = _window(view, amplitudes[gamma], hits, terms)
-                part[gamma] = [cell(x, view, window, gamma, n) for n in sizes]
+                window.fill_state(amplitudes[gamma])
+                part[gamma] = [cell(x, window, gamma, n) for n in sizes]
             parts.append(part)
         return parts
 

@@ -16,7 +16,7 @@ B^-1(x) = sum |a_n|^2 / sin^2((x - theta_n)/2), the point-mass formula, and
 the cotangent secular condition whose roots are the kicked eigenphases.
 Three rules of the kick are decided here and nowhere else: a weighted pole
 makes B^-1(x) = inf, where the point mass B(x)/sin^2(lambda/(2*hbar)) is 0
-(``_first_pole`` and ``_BInverseTerms``); a kick with
+(``_CircleWindow.fill_state``); a kick with
 |sin(lambda/(2*hbar))| < POLE_TOL is a no-op (``_kick_sine``); and a power
 law belongs to the divergent regime 1/2 < gamma <= 1 (``_check_gamma``).
 """
@@ -41,7 +41,6 @@ from .rationals import (
 __all__ = [
     "BaseSpectrum",
     "ThetaSequence",
-    "CircleView",
     "KickState",
     "KickEnsemble",
     "GammaWindow",
@@ -55,7 +54,6 @@ __all__ = [
     "cotangent_residual",
     "gamma_window",
     "circle_distance",
-    "circle_view",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -190,39 +188,6 @@ def circle_distance(x, angles: np.ndarray) -> np.ndarray:
     angles = np.asarray(angles, dtype=np.float64)
     out = np.empty(np.broadcast(angles, x).shape)
     return _fill_circle_distance(x, angles, out, np.empty_like(out))
-
-
-@dataclass(frozen=True, eq=False)
-class CircleView:
-    """Circle distances d_n = dist(x, theta_n) and sin^2(d_n/2) of one x.
-
-    Both arrays are elementwise, so the view of a prefix is the prefix of
-    the view, bit for bit.  A sweep holds one view per worker and refills
-    its arrays for each x.
-    """
-
-    dist: np.ndarray
-    sin2: np.ndarray
-
-
-def _fill_circle_view(x: float, angles: np.ndarray, view: CircleView) -> None:
-    """Refill ``view`` in place with one distance pass from x over ``angles``
-    and sin^2(d/2) beside it.
-
-    This is the one place sin^2 of a circle distance is computed.
-    """
-    _fill_circle_distance(x, angles, view.dist, view.sin2)
-    sin2 = np.multiply(view.dist, 0.5, out=view.sin2)
-    np.sin(sin2, out=sin2)
-    sin2 *= sin2
-
-
-def circle_view(x: float, angles: np.ndarray) -> CircleView:
-    """The ``CircleView`` of x over ``angles``, in two fresh arrays."""
-    angles = np.asarray(angles, dtype=np.float64)
-    view = CircleView(dist=np.empty(angles.shape), sin2=np.empty(angles.shape))
-    _fill_circle_view(x, angles, view)
-    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,22 +361,9 @@ def b_inverse_partial(x: float, state: KickState, theta: ThetaSequence,
     POLE_TOL); zero-weight terms never contribute and never make a pole.
     """
     _check_prefix(n_terms, min(state.dim, len(theta)))
-    view = circle_view(x, theta.values[:n_terms])
-    amplitudes = _amplitudes(np.abs(state.coefficients[:n_terms]))
-    terms = _b_inverse_terms(amplitudes, view, np.empty(n_terms))
-    return terms.partial_sum(n_terms)
-
-
-def _first_pole(mask: np.ndarray, dist: np.ndarray,
-                out: np.ndarray | None = None) -> int | None:
-    """First index that carries weight and lies within POLE_TOL of x.
-
-    ``out``, a boolean array of the same length if given, takes the test.
-    """
-    near = np.less(dist, POLE_TOL, out=out)
-    np.logical_and(near, mask, out=near)
-    hits = np.flatnonzero(near)
-    return int(hits[0]) if hits.size else None
+    return _CircleWindow.over(x, theta.values[:n_terms],
+                              np.abs(state.coefficients[:n_terms])
+                              ).b_inverse(n_terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,48 +391,68 @@ def _amplitudes(values: np.ndarray) -> _Amplitudes:
                        run=slice(first, stop) if contiguous else None)
 
 
-@dataclass(frozen=True, eq=False)
-class _BInverseTerms:
-    """The B^-1(x) terms of one x and one state, read by prefix.
+class _CircleWindow:
+    """What one x and one state give every prefix of the phases to read.
 
-    ``packed`` holds w_n / sin^2(d_n/2) over w_n > 0 in index order, up to
-    ``pole``, the first weighted pole; every prefix that reaches the pole
-    sums to ``math.inf``.
+    ``fill_x`` puts the circle distances d_n = dist(x, theta_n) and
+    sin^2(d_n/2) in place, and ``fill_state`` the S(x) hit mask, the first
+    weighted pole and the B^-1 terms.  Every array is elementwise, so a
+    prefix of the window is the window of the prefix, bit for bit.
     """
 
-    weighted: np.ndarray
-    pole: int | None
-    packed: np.ndarray
+    def __init__(self, size: int):
+        self.dist = np.empty(size)
+        self.sin2 = np.empty(size)
+        self.hits = np.empty(size, dtype=bool)
+        self.terms = np.empty(size)
 
-    def partial_sum(self, n: int) -> float:
-        """sum over the indices below n: the first count(w_m > 0, m < n)
-        packed terms, the same elements in the same order as a sum over
-        the masked prefix."""
+    @classmethod
+    def over(cls, x: float, angles: np.ndarray,
+             values: np.ndarray) -> "_CircleWindow":
+        """The window of x over ``angles`` and amplitudes |a_n| ``values``."""
+        window = cls(angles.size)
+        window.fill_x(x, angles)
+        window.fill_state(_amplitudes(values))
+        return window
+
+    def fill_x(self, x: float, angles: np.ndarray) -> None:
+        """The one place sin^2 of a circle distance is computed."""
+        _fill_circle_distance(x, angles, self.dist, self.sin2)
+        sin2 = np.multiply(self.dist, 0.5, out=self.sin2)
+        np.sin(sin2, out=sin2)
+        sin2 *= sin2
+
+    def fill_state(self, amplitudes: _Amplitudes) -> None:
+        """The pole: the first index with weight w_n = |a_n|**2 > 0 within
+        POLE_TOL of x.  The terms w_n / sin^2(d_n/2) over w_n > 0 before it,
+        packed as a view when the weighted support is one run.  ``hits``
+        takes the pole test, then the S(x) mask 0 < |a_n| and d_n <= |a_n|.
+        """
+        near = np.less(self.dist, POLE_TOL, out=self.hits)
+        np.logical_and(near, amplitudes.weighted, out=near)
+        poles = np.flatnonzero(near)
+        self.pole = int(poles[0]) if poles.size else None
+        stop = amplitudes.weighted.size if self.pole is None else self.pole
+        terms = self.terms[:stop]
+        weighted = amplitudes.weighted[:stop]
+        np.square(amplitudes.values[:stop], out=terms)
+        np.divide(terms, self.sin2[:stop], out=terms, where=weighted)
+        run = amplitudes.run
+        self.packed = terms[weighted] if run is None else terms[run]
+        self.weighted = amplitudes.weighted
+        hits = np.less_equal(self.dist, amplitudes.values, out=self.hits)
+        np.logical_and(hits, amplitudes.nonzero, out=hits)
+
+    def s_count(self, n: int) -> int:
+        return int(np.count_nonzero(self.hits[:n]))
+
+    def b_inverse(self, n: int) -> float:
+        """``math.inf`` once the prefix reaches the pole, else the first
+        count(w_m > 0, m < n) packed terms: the same elements in the same
+        order as a sum over the masked prefix."""
         if self.pole is not None and self.pole < n:
             return math.inf
         return float(np.sum(self.packed[:np.count_nonzero(self.weighted[:n])]))
-
-
-def _b_inverse_terms(amplitudes: _Amplitudes, view: CircleView,
-                     out: np.ndarray,
-                     pole_out: np.ndarray | None = None) -> _BInverseTerms:
-    """Fill ``out`` with w_n / sin^2(d_n/2) over w_n = |a_n|**2 > 0 before
-    the first weighted pole, from the amplitudes and the ``view`` of one x.
-
-    ``out`` has the length of the view; ``pole_out``, a boolean array of
-    that length if given, takes the pole test.  The packed terms are a view
-    of ``out`` when the support is one run and one compress otherwise.
-    """
-    pole = _first_pole(amplitudes.weighted, view.dist, pole_out)
-    stop = amplitudes.weighted.size if pole is None else pole
-    terms = out[:stop]
-    weighted = amplitudes.weighted[:stop]
-    np.square(amplitudes.values[:stop], out=terms)
-    np.divide(terms, view.sin2[:stop], out=terms, where=weighted)
-    run = amplitudes.run
-    packed = terms[weighted] if run is None else terms[run]
-    return _BInverseTerms(weighted=amplitudes.weighted, pole=pole,
-                          packed=packed)
 
 
 def _kick_sine(phase: float) -> float:

@@ -353,6 +353,26 @@ class TestExitCodes:
         assert "exceed the limit" in capsys.readouterr().err
         assert not (tmp_path / "cells.csv").exists()
 
+    # each thread would hold 25 bytes per phase; the count is refused
+    # before the phases, any thread and the cache lookup
+    def test_thread_limit(self, tmp_path, monkeypatch, capsys):
+        import concurrent.futures
+
+        import kickspec.cli as cli_mod
+        import kickspec.counting as counting_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started for a refused thread count")
+
+        monkeypatch.setattr(counting_mod, "theta_sequence", fail)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
+        monkeypatch.setattr(cli_mod, "CellCache", fail)
+        code = main(["scount", "--beta", "golden", "--threads", "1000000",
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "1000000 threads exceed the limit 64" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_kick_limit(self, tmp_path, capsys):
         code = main(["dynamics", "--beta", "golden", "--dim", "8",
                      "--kicks", "1000000000000", "--out", str(tmp_path)])
@@ -531,6 +551,21 @@ class TestSpectrumCommand:
             assert main([command, "--beta", "golden", "--rank", "2",
                          "--lambdas", "1.0,2.0", "--dim", "32",
                          "--out", str(tmp_path / command)]) == 0
+
+    # rational phases repeat: eigen_decompose deflates the coincident poles
+    # into weightless copies that sit on a weighted pole, and the residual
+    # is taken at the weighted eigenphases, the secular roots, only
+    def test_rational_beta_rank1(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["spectrum", "--beta", "1/3", "--rank", "1",
+                     "--dim", "64", "--out", str(out)])
+        assert code == 0
+        weights = [float(r[2]) for r in read_csv(out / "eigenphases.csv")[1:]]
+        assert len(weights) == 64
+        assert sum(w > 0.0 for w in weights) == 3
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_secular_residual"] <= 1e-6
 
     def test_rank1_secular_residual_small(self, tmp_path):
         out = tmp_path / "run"

@@ -34,7 +34,6 @@ from kickspec.spectral import (
     ThetaSequence,
     b_inverse_partial,
     circle_distance,
-    circle_view,
     full_support_state,
     power_law_state,
     theta_sequence,
@@ -173,20 +172,12 @@ class TestInequalityCheck:
         assert report.holds
 
 
-def sweep_window(view, amplitudes):
-    """The window the sweep builds over ``view`` for the amplitudes |a_n|,
-    in fresh buffers."""
-    size = view.dist.size
-    return counting_mod._window(view, spectral_mod._amplitudes(amplitudes),
-                                np.empty(size, dtype=bool), np.empty(size))
-
-
 def one_pass_bounds(x, state, theta, n):
-    """b_lower_bounds of one cell, from the view and the window of the
-    whole state and phase sequence, as the sweep passes them."""
-    view = circle_view(x, theta.values)
-    window = sweep_window(view, np.abs(state.coefficients))
-    return b_lower_bounds(view, window, state.gamma, n)
+    """b_lower_bounds of one cell, from the window of the whole state and
+    phase sequence, as the sweep passes it."""
+    window = spectral_mod._CircleWindow.over(x, theta.values,
+                                             np.abs(state.coefficients))
+    return b_lower_bounds(window, state.gamma, n)
 
 
 class TestBLowerBounds:
@@ -351,10 +342,11 @@ class TestOnePassAgainstThreePasses:
 
     def test_needs_power_law_gamma(self):
         # gamma is checked first, before the prefix length
-        view = circle_view(1.0, _THETA.values)
+        window = spectral_mod._CircleWindow.over(
+            1.0, _THETA.values, np.abs(_STATES[0].coefficients))
         for gamma in (0.45, 1.5):
             with pytest.raises(ValueError, match="outside the divergent regime"):
-                b_lower_bounds(view, np.abs(_STATES[0].coefficients), gamma, 0)
+                b_lower_bounds(window, gamma, 0)
 
 
 class TestDivergenceScan:
@@ -409,13 +401,12 @@ class TestDivergenceScan:
                 assert cell.b_inverse == math.inf
         # theta_0 = 0 lies outside the scan's x range (0, 2*pi), so its
         # zero weight is checked on the window the sweep builds
-        view = circle_view(float(theta.values[0]), theta.values)
-        window = sweep_window(view, spectral_mod._power_law_amplitudes(
-            0.75, view.dist.size))
-        assert window.terms.pole is None
+        window = spectral_mod._CircleWindow.over(
+            float(theta.values[0]), theta.values,
+            spectral_mod._power_law_amplitudes(0.75, len(theta)))
+        assert window.pole is None
         for n in n_grid:
-            assert math.isfinite(
-                b_lower_bounds(view, window, 0.75, n + 1).b_inverse)
+            assert math.isfinite(b_lower_bounds(window, 0.75, n + 1).b_inverse)
 
     def test_every_cell_satisfies_inequality(self):
         spec = SequenceSpec(j=2, beta=GOLDEN)
@@ -550,19 +541,19 @@ class TestSweepCore:
         (1, [5]), (2, [3, 2]), (3, [2, 2, 1]), (8, [1] * 5)])
     def test_each_chunk_refills_one_view(self, threads, sizes, monkeypatch):
         seen = []
-        fill = counting_mod._fill_circle_view
+        fill = spectral_mod._CircleWindow.fill_x
 
-        def recorded(x, angles, view):
-            seen.append((view, x))
-            fill(x, angles, view)
+        def recorded(window, x, angles):
+            seen.append((window, x))
+            fill(window, x, angles)
 
-        monkeypatch.setattr(counting_mod, "_fill_circle_view", recorded)
+        monkeypatch.setattr(spectral_mod._CircleWindow, "fill_x", recorded)
         xs = default_x_grid(5, n_min=300, gamma=0.6)
         gamma_sweep(1, GOLDEN, (0.6, 0.8), xs, [300, 1000], threads=threads)
-        # seen holds every view, so no two chunks share an id
+        # seen holds every window, so no two chunks share an id
         chunks = {}
-        for view, x in seen:
-            chunks.setdefault(id(view), []).append(x)
+        for window, x in seen:
+            chunks.setdefault(id(window), []).append(x)
         cuts = np.cumsum([0] + sizes)
         assert sorted(chunks.values()) == sorted(
             list(xs[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
@@ -584,6 +575,19 @@ class TestSweepCore:
         with pytest.raises(ValueError, match="outside the divergent regime"):
             divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.45,
                             [2.0, 3.0], [1000, 3000])
+
+    def test_thread_limit_rejected_before_any_work(self, monkeypatch):
+        import concurrent.futures
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started for a refused thread count")
+
+        monkeypatch.setattr(counting_mod, "theta_sequence", fail)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
+        with pytest.raises(ResourceLimitError, match="exceed the limit 64"):
+            divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.75,
+                            [2.0, 3.0], [1000, 3000],
+                            threads=counting_mod.MAX_THREADS + 1)
 
     # x = 0.025 spills at N = 1000 (half-width 0.0056 around 0.0040) but
     # fits at N = 3000 (half-width 0.0025): the smallest N decides
