@@ -40,6 +40,7 @@ from .equidistribution import (
     discrepancy_oracle,
     erdos_turan_bound,
     erdos_turan_bounds,
+    linear_erdos_turan_bounds,
     sequence_points,
     weyl_sum,
     weyl_sums,

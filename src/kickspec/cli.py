@@ -31,6 +31,7 @@ from .equidistribution import (
     conjectured_exponent,
     discrepancy_exact,
     erdos_turan_bounds,
+    linear_erdos_turan_bounds,
     sequence_points,
     weyl_sums,
     _log_log_slope,
@@ -77,6 +78,8 @@ TOLERANCE_ERROR = 4
 
 _NAMED_CONSTANTS = {"golden": golden_ratio, "sqrt2": sqrt_two}
 _DEFAULT_DEPTH = 200
+# largest denominator the default scount eta estimate reads
+_ETA_Q_MAX = 10_000
 
 
 def parse_beta_spec(text: str, precision_bits: int | None = None) -> RationalApprox:
@@ -228,7 +231,11 @@ def cmd_discrepancy(args) -> int:
             f"--m {args.m} harmonics over {charged} charged prefix points "
             f"exceed the limit {MAX_ET_PRODUCTS}")
     points = sequence_points(spec, grid[-1])
-    bounds = erdos_turan_bounds(points, grid, args.m)
+    if spec.j == 1:
+        # geometric Weyl sums: O(m) per size, not O(m N)
+        bounds = linear_erdos_turan_bounds(beta, grid, args.m)
+    else:
+        bounds = erdos_turan_bounds(points, grid, args.m)
     rows = []
     for n, et_bound in zip(grid, bounds):
         d_n = discrepancy_exact(points[:n]).d_n
@@ -342,8 +349,14 @@ def cmd_scount(args) -> int:
         _check_gamma(gamma)
     if args.eta is not None:
         eta = args.eta
+    elif beta.denominator <= _ETA_Q_MAX ** 2:
+        # the estimate needs a stand-in finer than its q_max, squared
+        raise ValueError(
+            f"--beta {args.beta} is a rational of denominator "
+            f"{beta.denominator} and has no irrationality type to estimate: "
+            f"--eta must be given")
     else:
-        eta = irrational_type_estimate(beta, 10_000).eta_hat
+        eta = irrational_type_estimate(beta, _ETA_Q_MAX).eta_hat
     if args.x_grid:
         xs = parse_float_list(args.x_grid)
     else:

@@ -18,6 +18,7 @@ from kickspec.equidistribution import (
     SequenceSpec,
     discrepancy_exact,
     erdos_turan_bound,
+    linear_erdos_turan_bounds,
     sequence_points,
 )
 from kickspec.rationals import golden_ratio, irrational_type_estimate
@@ -298,14 +299,19 @@ class TestExitCodes:
         import kickspec.cli as cli_mod
 
         # an upper bound below the exact D_N is a numerical failure, not a
-        # usage error
-        monkeypatch.setattr(cli_mod, "erdos_turan_bounds",
-                            lambda points, grid, m: [1e-9] * len(grid))
-        code = main(["discrepancy", "--beta", "golden", "--n-grid",
-                     "1e3:1e4:2", "--out", str(tmp_path / "run")])
-        assert code == 4
-        assert "numerical tolerance violated" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
+        # usage error, on the closed-form j = 1 branch and the point-sum
+        # branch alike
+        for j, patched in (("1", "linear_erdos_turan_bounds"),
+                           ("2", "erdos_turan_bounds")):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli_mod, patched,
+                              lambda source, grid, m: [1e-9] * len(grid))
+                code = main(["discrepancy", "--j", j, "--beta", "golden",
+                             "--n-grid", "1e3:1e4:2",
+                             "--out", str(tmp_path / "run")])
+            assert code == 4
+            assert "numerical tolerance violated" in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
 
     # --epsilon must be finite and >= 0, --eta finite and >= 1
     @pytest.mark.parametrize("argv", [
@@ -462,10 +468,38 @@ class TestDiscrepancyCommand:
         rows = read_csv(out / "discrepancy.csv")[1:-1]
         spec = SequenceSpec(j=1, beta=golden_ratio(200))
         pts = sequence_points(spec, 10_000)
-        for row in rows:
-            n = int(row[0])
+        sizes = [int(row[0]) for row in rows]
+        closed = linear_erdos_turan_bounds(spec.beta, sizes, 16)
+        for row, n, bound in zip(rows, sizes, closed):
             assert float(row[1]) == discrepancy_exact(pts[:n]).d_n
-            assert float(row[2]) == erdos_turan_bound(pts[:n], 16)
+            assert float(row[2]) == bound
+            assert float(row[2]) == pytest.approx(
+                erdos_turan_bound(pts[:n], 16), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("j, used, unused", [
+        ("1", "linear_erdos_turan_bounds", "erdos_turan_bounds"),
+        ("2", "erdos_turan_bounds", "linear_erdos_turan_bounds"),
+    ])
+    def test_bound_branch_follows_power(self, j, used, unused, tmp_path,
+                                        monkeypatch):
+        import kickspec.cli as cli_mod
+
+        calls = []
+        original = getattr(cli_mod, used)
+
+        def record(*args):
+            calls.append(args)
+            return original(*args)
+
+        def refuse(*args):
+            raise AssertionError(f"{unused} called at j = {j}")
+
+        monkeypatch.setattr(cli_mod, used, record)
+        monkeypatch.setattr(cli_mod, unused, refuse)
+        assert main(["discrepancy", "--j", j, "--beta", "golden",
+                     "--n-grid", "1e2:1e3:2", "--m", "8",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1
 
     def test_golden_full_grid_slope(self, tmp_path):
         from kickspec.equidistribution import _log_log_slope
@@ -578,6 +612,18 @@ class TestSpectrumCommand:
 
 
 class TestScountCommand:
+    # a small-denominator rational is the paper's bounded case, but it has
+    # no irrationality type for the window annotation to estimate
+    def test_rational_beta_needs_eta(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["scount", "--beta", "1/3", "--x-count", "3",
+                "--n-grid", "1e3:1e4:2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "irrationality type" in err and "--eta" in err
+        assert not out.exists()
+        assert main(argv + ["--eta", "1"]) == 0
+
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "run"
         code = main(["scount", "--j", "1", "--beta", "golden",

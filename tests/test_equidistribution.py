@@ -2,7 +2,10 @@ import cmath
 import csv
 import functools
 import math
+import random
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +21,11 @@ from kickspec.equidistribution import (
     discrepancy_oracle,
     erdos_turan_bound,
     erdos_turan_bounds,
+    linear_erdos_turan_bounds,
     sequence_points,
     weyl_sum,
     weyl_sums,
+    _linear_weyl_moduli,
 )
 from kickspec.errors import OracleSizeError
 from kickspec.rationals import UNIT_SCALE, RationalApprox, golden_ratio, sqrt_two
@@ -297,6 +302,129 @@ class TestErdosTuranBlocked:
         assert peak < 64_000
         assert bound == pytest.approx(loop_erdos_turan(np.array([0.3, 0.7]),
                                                        20000), rel=1e-12)
+
+
+_BIG = random.Random(4096)
+LINEAR_BETAS = {
+    "golden": GOLDEN,
+    "sqrt2": sqrt_two(),
+    "12345/67891": RationalApprox(12345, 67891),
+    "4096-bit": RationalApprox(_BIG.getrandbits(4096),
+                               _BIG.getrandbits(4096) | 1 << 4095),
+    "1/3": RationalApprox(1, 3),
+    "5/64": RationalApprox(5, 64),
+}
+LINEAR_SIZES = REFERENCE_SIZES + (10**6,)
+# Where S_h(N) vanishes exactly (q | h N), the point sums of
+# ``erdos_turan_bounds`` leave a residue of cancelled unit vectors: on 1/3
+# and 5/64 they sit up to 8.0e-14 relative from the exact-distance
+# reference below, against 4.1e-16 for the closed form.
+CANCELLING_BETAS = ("1/3", "5/64")
+CANCELLING_REL_TOL = 1e-13
+
+
+def exact_modulus(beta, h, n):
+    """|S_h(N)| of {n beta} from the geometric sum, standard library only:
+    both distances to the nearest integer reduced exactly as Fractions."""
+    a = h * beta % 1
+    b = h * n * beta % 1
+    a, b = float(min(a, 1 - a)), float(min(b, 1 - b))
+    if math.pi * n * a < 1e-8:
+        return float(n)
+    return math.sin(math.pi * b) / math.sin(math.pi * a)
+
+
+def exact_linear_bounds(beta, sizes, m):
+    f = beta.as_fraction()
+    return [6.0 / (m + 1) + (4.0 / math.pi) * math.fsum(
+                exact_modulus(f, h, n) / h for h in range(1, m + 1)) / n
+            for n in sizes]
+
+
+@functools.lru_cache(maxsize=None)
+def linear_points(name):
+    return sequence_points(spec(1, LINEAR_BETAS[name]), max(LINEAR_SIZES))
+
+
+class TestLinearErdosTuran:
+    @pytest.mark.parametrize("m", ET_HARMONICS)
+    @pytest.mark.parametrize("name", LINEAR_BETAS)
+    def test_matches_point_sums(self, name, m):
+        beta = LINEAR_BETAS[name]
+        closed = linear_erdos_turan_bounds(beta, LINEAR_SIZES, m)
+        summed = erdos_turan_bounds(linear_points(name), LINEAR_SIZES, m)
+        exact = exact_linear_bounds(beta, LINEAR_SIZES, m)
+        tol = CANCELLING_REL_TOL if name in CANCELLING_BETAS else ET_REL_TOL
+        for bound, point_bound, reference in zip(closed, summed, exact):
+            assert bound == pytest.approx(point_bound, rel=tol, abs=0)
+            assert bound == pytest.approx(reference, rel=ET_REL_TOL, abs=0)
+
+    @pytest.mark.parametrize("m", ET_HARMONICS)
+    def test_matches_exact_phase_reference(self, m):
+        _, sums = reference_harmonic_sums("golden-j1")
+        bounds = linear_erdos_turan_bounds(GOLDEN, REFERENCE_SIZES, m)
+        for n, bound in zip(REFERENCE_SIZES, bounds):
+            total = math.fsum(abs(s) / (h * n)
+                              for h, s in enumerate(sums[n][:m], start=1))
+            expected = 6.0 / (m + 1) + (4.0 / math.pi) * total
+            assert bound == pytest.approx(expected, rel=ET_REL_TOL, abs=0)
+
+    @pytest.mark.parametrize("p, q", [(5, 64), (2, 7)])
+    def test_exact_moduli_at_multiples_of_q(self, p, q):
+        # S_h = N where q | h; S_h = 0 where q | h N but q does not divide h.
+        # {5/64} is exact in fixed point, {2/7} is rounded.
+        sizes = [q, 3 * q // 2, q + 1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moduli = _linear_weyl_moduli(RationalApprox(p, q), sizes, 1, 200)
+        for n, row in zip(sizes, moduli):
+            for h, modulus in enumerate(row.tolist(), start=1):
+                if h % q == 0:
+                    assert modulus == n
+                elif h * n % q == 0:
+                    assert modulus == 0.0
+                else:
+                    assert modulus == pytest.approx(
+                        exact_modulus(Fraction(p, q), h, n), rel=1e-14, abs=0)
+
+    # ||3 beta|| = 3 * 2**-shift for beta = 1/3 + 2**-shift: at 2**-40 the
+    # low limbs of the fixed-point residue carry it; at 2**-4000 it
+    # underflows as a float and |S_3| is N
+    @pytest.mark.parametrize("shift", [40, 4000])
+    def test_small_distances(self, shift):
+        beta = RationalApprox(2**shift + 3, 3 * 2**shift)
+        sizes = [1, 2, 3, 3000, 10**6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = linear_erdos_turan_bounds(beta, sizes, 64)
+            moduli = _linear_weyl_moduli(beta, sizes, 1, 6)
+        for n, row in zip(sizes, moduli):
+            expected = [exact_modulus(beta.as_fraction(), h, n)
+                        for h in range(1, 7)]
+            assert row.tolist() == pytest.approx(expected, rel=1e-14, abs=0)
+        for bound, reference in zip(bounds,
+                                    exact_linear_bounds(beta, sizes, 64)):
+            assert bound == pytest.approx(reference, rel=ET_REL_TOL, abs=0)
+        if shift == 4000:
+            assert bounds == linear_erdos_turan_bounds(RationalApprox(1, 3),
+                                                       sizes, 64)
+
+    def test_chunks_and_size_order(self):
+        # 40000 harmonics over three sizes run in 15 chunks
+        sizes = [3, 1, 2]
+        pts = sequence_points(spec(1, GOLDEN), 3)
+        for bound, point_bound in zip(
+                linear_erdos_turan_bounds(GOLDEN, sizes, 40000),
+                erdos_turan_bounds(pts, sizes, 40000)):
+            assert bound == pytest.approx(point_bound, rel=ET_REL_TOL, abs=0)
+
+    def test_argument_validation(self):
+        assert linear_erdos_turan_bounds(GOLDEN, [], 4) == []
+        for bad in ([0], [1, -1]):
+            with pytest.raises(ValueError, match="prefix sizes"):
+                linear_erdos_turan_bounds(GOLDEN, bad, 4)
+        with pytest.raises(ValueError, match="m must be"):
+            linear_erdos_turan_bounds(GOLDEN, [2], 0)
 
 
 def discrepancy_run(tmp_path, j, beta, sizes):
