@@ -19,12 +19,14 @@ states.  The eigenphases of each rank-1 block are the roots of the cotangent
 secular equation sum_n |a_n|^2 cot((x - theta_n)/2) = cot(lambda/(2 hbar)),
 one in each gap between the weighted poles theta_n.  The spectral weights
 are those of the operator's own kick states: state k's point masses
-B(x)/sin^2(lambda_k/(2 hbar)) at the roots of its block.  Roots are found in
-the offset from the nearer pole (Bunch, Nielsen and Sorensen 1978; Gragg and
-Reichel 1990 for the unitary case), O(dim^2) per block.  Each term of the
-secular sums is one tangent: cot = 1/tan and 1/sin^2 = 1 + cot^2.  Dynamics
-apply V matrix-free, O(dim * N) per kick.  The dense matrix is assembled only
-on request (``FloquetMatrix.entries``), for tests and oracles; dim <= 4096.
+B(x)/sin^2(lambda_k/(2 hbar)) at the roots of its block.  A block is built
+from its poles' unit phases and weights alone.  Roots are found in the
+offset from the nearer pole (Bunch, Nielsen and Sorensen 1978; Gragg and
+Reichel 1990 for the unitary case), O(dim^2) per block, with the secular
+sums of ``spectral._secular_sums``, the kernel that ``cotangent_residual``
+shares.  Dynamics apply V matrix-free, O(dim * N) per kick.  The dense
+matrix is assembled only on request (``FloquetMatrix.entries``), for tests
+and oracles; dim <= 4096.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ from .spectral import (
     KickEnsemble,
     KickState,
     ThetaSequence,
-    _TILE_ELEMENTS,
+    _distinct_poles,
+    _kick_cot,
     _kick_sine,
+    _secular_sums,
     alpha_sequence,
     point_mass,
     theta_sequence,
@@ -220,166 +224,87 @@ class EigenDecomposition:
         return float(np.sum(self.weights[k] ** 2))
 
 
-class _SecularBlock:
-    """Eigenphases of one rank-1 block (I + mu |a><a|) U on the support of a.
+def _secular_block(unit: np.ndarray, weights: np.ndarray,
+                   kick_phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """One rank-1 block (I + mu |a><a|) U from the unit phases and weights
+    |a_n|**2 of its support: its eigenphases, the roots and then the
+    deflated phases, and the point masses of its own kick state at them.
 
-    Exactly coincident poles are deflated: each extra copy of a pole stays an
-    eigenphase with no weight on ``a``, and the group's merged weight enters
-    the secular sum.  Each root is solved as the pole it is nearer to (the
-    origin) plus an offset tau, so distances to nearby poles are known
-    without cancellation.
+    Exactly coincident poles are deflated: each extra copy of a pole stays
+    an eigenphase with no weight on the state, and the group's merged weight
+    enters the secular sum, which has one root in each gap between the
+    distinct poles.  The secular function f decreases from +inf to -inf
+    across a gap.  Its sign at the midpoint picks the nearer pole as the
+    origin, and the root is solved as origin plus an offset tau, so
+    distances to nearby poles are known without cancellation: a safeguarded
+    Newton iteration in y = cot(tau/2) models the origin's term w_o * y
+    exactly and the other poles to first order, bisecting when a step would
+    leave the bracket or the last one failed to halve |f|.  A root is
+    accepted on a residual test: |f| within rounding of its terms.
     """
-
-    def __init__(self, indices: np.ndarray, coefficients: np.ndarray,
-                 theta: ThetaSequence, kick_phase: float):
-        unit = theta.unit_values[indices]
-        order = np.argsort(unit, kind="stable")
-        weights = np.abs(coefficients[indices[order]]) ** 2
-        unit = unit[order]
-        starts = np.flatnonzero(np.r_[True, unit[1:] != unit[:-1]])
-        self.poles = unit[starts]  # on the 2**-53 grid: differences are exact
-        self.pole_weights = np.add.reduceat(weights, starts)
-        self.cot_kick = 1.0 / math.tan(0.5 * kick_phase)
-        self.kick_phase = kick_phase
-        origin, tau, self.b_inverse = self._solve()
-        x = TWO_PI * self.poles[origin] + tau
-        x = np.where(x < 0.0, x + TWO_PI, x)
-        self.roots = np.where(x >= TWO_PI, x - TWO_PI, x)
-        counts = np.diff(np.r_[starts, unit.size])
-        # extra copies of coincident poles, listed by their pole index
-        self.copies = np.repeat(np.arange(self.poles.size), counts - 1)
-
-    def _half_angles(self, origin, tau):
-        """(x - theta_n)/2 for x = pole[origin] + tau, rows by root, columns
-        by pole, with the pole differences reduced to [-1/2, 1/2] turns."""
-        half = self.poles[origin, None] - self.poles[None, :]
-        half -= np.rint(half)
-        half *= TWO_PI
-        half += tau[:, None]
-        half *= 0.5
-        return half
-
-    def _tiles(self, rows: int):
-        step = max(1, _TILE_ELEMENTS // self.poles.size)
-        for lo in range(0, rows, step):
-            yield slice(lo, min(lo + step, rows))
-
-    def _other_poles(self, origin, tau):
-        """Sums over every pole but the origin, for each root estimate.
-
-        Returns sum w cot(d/2) - cot(lambda/2), its term magnitudes, and
-        sum w / sin^2(d/2), with d = x - theta_n.  Each term costs one
-        tangent: cot = 1/tan and 1/sin^2 = 1 + cot^2.
-        """
-        f = np.empty(tau.size)
-        scale = np.empty(tau.size)
-        b_inv = np.empty(tau.size)
-        w = self.pole_weights
-        for tile in self._tiles(tau.size):
-            cot = self._half_angles(origin[tile], tau[tile])
-            np.tan(cot, out=cot)
-            np.divide(1.0, cot, out=cot)
-            rows = np.arange(cot.shape[0])
-            cot[rows, origin[tile]] = 0.0
-            terms = w * cot
-            f[tile] = terms.sum(axis=1)
-            scale[tile] = np.abs(terms, out=terms).sum(axis=1)
-            cot *= cot
-            cot += 1.0
-            cot *= w
-            cot[rows, origin[tile]] = 0.0
-            b_inv[tile] = cot.sum(axis=1)
-        return f - self.cot_kick, scale + abs(self.cot_kick), b_inv
-
-    def _solve(self):
-        """One root of the secular equation in each gap between poles.
-
-        The secular function f decreases from +inf to -inf across a gap.  Its
-        sign at the midpoint picks the nearer pole as the origin; then a
-        safeguarded Newton iteration in y = cot(tau/2) models the origin's
-        term w_o * y exactly and the other poles to first order, bisecting
-        when a step would leave the bracket or the last one failed to halve
-        |f|.  A root is accepted on a residual test: |f| within rounding of
-        its terms.
-        """
-        m = self.poles.size
-        gap = np.empty(m)
-        gap[:-1] = np.diff(self.poles)
-        gap[-1] = (self.poles[0] - self.poles[-1]) + 1.0  # wraps past 2*pi
-        left = np.arange(m)
-        right = (left + 1) % m
-        mid = math.pi * gap
-        f_mid, _, _ = self._other_poles(left, mid)
-        f_mid += self.pole_weights / np.tan(0.5 * mid)
-        toward_right = f_mid > 0.0
-        origin = np.where(toward_right, right, left)
-        sign = np.where(toward_right, -1.0, 1.0)
-        w_o = self.pole_weights[origin]
-        lo = np.where(toward_right, -mid, 0.0)
-        hi = np.where(toward_right, 0.0, mid)
-        tau = sign * mid
-        b_inverse = np.empty(m)
-        last_f = np.full(m, np.inf)
-        newton = np.zeros(m, dtype=bool)
-        active = np.arange(m)
-        for _ in range(_MAX_ITERATIONS):
-            t = tau[active]
-            o = origin[active]
-            psi, scale, b_other = self._other_poles(o, t)
-            s = np.sin(0.5 * t)
-            y = np.cos(0.5 * t) / s
-            f = w_o[active] * y + psi
-            b_inverse[active] = w_o[active] / (s * s) + b_other
-            done = np.abs(f) <= _RESIDUAL_ULPS * _EPS * (
-                scale + w_o[active] * np.abs(y))
-            # f decreases in tau: a positive value puts the root above t
-            lo[active] = np.where(f > 0.0, t, lo[active])
-            hi[active] = np.where(f > 0.0, hi[active], t)
-            width = hi[active] - lo[active]
-            done |= width <= 2.0 * _EPS * np.maximum(np.abs(lo[active]),
-                                                     np.abs(hi[active]))
-            slow = np.abs(f) > 0.5 * last_f[active]
-            last_f[active] = np.abs(f)
-            # Newton in y: df/dy = w_o + sin^2(tau/2) * b_other
-            y_new = y - f / (w_o[active] + s * s * b_other)
-            sg = sign[active]
-            step = sg * 2.0 * np.arctan2(1.0, sg * y_new)
-            inside = (step > lo[active]) & (step < hi[active])
-            use_newton = inside & ~(newton[active] & slow)
-            newton[active] = use_newton
-            tau[active] = np.where(use_newton, step,
-                                   0.5 * (lo[active] + hi[active]))
-            tau[active[done]] = t[done]
-            active = active[~done]
-            if active.size == 0:
-                return origin, tau, b_inverse
-        raise ToleranceError(
-            f"secular iteration left {active.size} roots unconverged after "
-            f"{_MAX_ITERATIONS} steps")
-
-    def own_weights(self) -> np.ndarray:
-        """Point masses of the roots on this block's own kick state."""
-        return point_mass(self.kick_phase, self.b_inverse)
-
-
-def _secular_blocks(matrix: FloquetMatrix) -> tuple[list[_SecularBlock],
-                                                     np.ndarray]:
-    """Rank-1 blocks of V and the indices no kick state touches."""
-    touched = np.zeros(matrix.dim, dtype=np.int64)
-    supports = []
-    for state in matrix.ensemble.states:
-        support = np.flatnonzero(state.coefficients)
-        touched[support] += 1
-        supports.append(support)
-    if np.any(touched > 1):
-        raise EnsembleError(
-            "kick states share basis index "
-            f"{int(np.flatnonzero(touched > 1)[0])}; the secular solver "
-            "needs pairwise disjoint supports")
-    blocks = [_SecularBlock(support, state.coefficients, matrix.theta, phase)
-              for support, state, phase in zip(supports, matrix.ensemble.states,
-                                               matrix.kick_phases)]
-    return blocks, np.flatnonzero(touched == 0)
+    poles, weights, _, counts = _distinct_poles(unit, weights)
+    cot_kick = _kick_cot(kick_phase)
+    m = poles.size
+    gap = np.empty(m)
+    gap[:-1] = np.diff(poles)
+    gap[-1] = (poles[0] - poles[-1]) + 1.0  # wraps past 2*pi
+    left = np.arange(m)
+    right = (left + 1) % m
+    mid = math.pi * gap
+    f_mid = _secular_sums(poles, weights, left, mid)[0] - cot_kick
+    f_mid += weights / np.tan(0.5 * mid)
+    toward_right = f_mid > 0.0
+    origin = np.where(toward_right, right, left)
+    sign = np.where(toward_right, -1.0, 1.0)
+    w_o = weights[origin]
+    lo = np.where(toward_right, -mid, 0.0)
+    hi = np.where(toward_right, 0.0, mid)
+    tau = sign * mid
+    b_inverse = np.empty(m)
+    last_f = np.full(m, np.inf)
+    newton = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    for _ in range(_MAX_ITERATIONS):
+        t = tau[active]
+        o = origin[active]
+        psi, scale, b_other = _secular_sums(poles, weights, o, t)
+        psi -= cot_kick
+        scale += abs(cot_kick)
+        s = np.sin(0.5 * t)
+        y = np.cos(0.5 * t) / s
+        f = w_o[active] * y + psi
+        b_inverse[active] = w_o[active] / (s * s) + b_other
+        done = np.abs(f) <= _RESIDUAL_ULPS * _EPS * (
+            scale + w_o[active] * np.abs(y))
+        # f decreases in tau: a positive value puts the root above t
+        lo[active] = np.where(f > 0.0, t, lo[active])
+        hi[active] = np.where(f > 0.0, hi[active], t)
+        width = hi[active] - lo[active]
+        done |= width <= 2.0 * _EPS * np.maximum(np.abs(lo[active]),
+                                                 np.abs(hi[active]))
+        slow = np.abs(f) > 0.5 * last_f[active]
+        last_f[active] = np.abs(f)
+        # Newton in y: df/dy = w_o + sin^2(tau/2) * b_other
+        y_new = y - f / (w_o[active] + s * s * b_other)
+        sg = sign[active]
+        step = sg * 2.0 * np.arctan2(1.0, sg * y_new)
+        inside = (step > lo[active]) & (step < hi[active])
+        use_newton = inside & ~(newton[active] & slow)
+        newton[active] = use_newton
+        tau[active] = np.where(use_newton, step,
+                               0.5 * (lo[active] + hi[active]))
+        tau[active[done]] = t[done]
+        active = active[~done]
+        if active.size == 0:
+            x = TWO_PI * poles[origin] + tau
+            x = np.where(x < 0.0, x + TWO_PI, x)
+            x = np.where(x >= TWO_PI, x - TWO_PI, x)
+            masses = np.zeros(unit.size)
+            masses[:m] = point_mass(kick_phase, b_inverse)
+            return np.r_[x, TWO_PI * np.repeat(poles, counts - 1)], masses
+    raise ToleranceError(
+        f"secular iteration left {active.size} roots unconverged after "
+        f"{_MAX_ITERATIONS} steps")
 
 
 def eigen_decompose(matrix: FloquetMatrix) -> EigenDecomposition:
@@ -394,17 +319,26 @@ def eigen_decompose(matrix: FloquetMatrix) -> EigenDecomposition:
     """
     if matrix.unitarity_defect > UNITARITY_TOL * matrix.dim:
         raise ToleranceError("input matrix is not unitary to tolerance")
-    blocks, bare = _secular_blocks(matrix)
-
-    phases = np.concatenate(
-        [matrix.theta.values[bare]]
-        + [part for block in blocks
-           for part in (block.roots, TWO_PI * block.poles[block.copies])])
+    supports = [np.flatnonzero(s.coefficients) for s in matrix.ensemble.states]
+    touched = np.bincount(np.concatenate([np.zeros(0, np.int64), *supports]),
+                          minlength=matrix.dim)
+    if np.any(touched > 1):
+        raise EnsembleError(
+            "kick states share basis index "
+            f"{int(np.flatnonzero(touched > 1)[0])}; the secular solver "
+            "needs pairwise disjoint supports")
+    blocks = [_secular_block(matrix.theta.unit_values[support],
+                             state.weights()[support], phase)
+              for support, state, phase in zip(
+                  supports, matrix.ensemble.states, matrix.kick_phases)]
+    bare = np.flatnonzero(touched == 0)
+    phases = np.concatenate([matrix.theta.values[bare]]
+                            + [part for part, _ in blocks])
     weights = np.zeros((len(blocks), phases.size))
     offset = bare.size
-    for k, block in enumerate(blocks):
-        weights[k, offset:offset + block.roots.size] = block.own_weights()
-        offset += block.roots.size + block.copies.size
+    for k, (part, masses) in enumerate(blocks):
+        weights[k, offset:offset + part.size] = masses
+        offset += part.size
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     weights = weights[:, order]

@@ -19,6 +19,9 @@ makes B^-1(x) = inf, where the point mass B(x)/sin^2(lambda/(2*hbar)) is 0
 (``_CircleWindow.fill_state``); a kick with
 |sin(lambda/(2*hbar))| < POLE_TOL is a no-op (``_kick_sine``); and a power
 law belongs to the divergent regime 1/2 < gamma <= 1 (``_check_gamma``).
+The secular sums have one home too, ``_secular_sums``, which takes each
+point as a pole plus an offset: the Floquet solver calls it, and
+``cotangent_residual`` calls it at a float x's nearest weighted pole.
 """
 
 from __future__ import annotations
@@ -482,6 +485,61 @@ def point_mass(lambda_over_hbar: float, b_inverse):
     return (1.0 / b_inverse) / (s * s)
 
 
+def _kick_cot(phase: float) -> float:
+    """cot(phase/2) of a kick phase lambda/hbar, the secular equation's
+    right-hand side, once ``_kick_sine`` has ruled out a no-op kick."""
+    _kick_sine(phase)
+    return 1.0 / math.tan(0.5 * phase)
+
+
+def _distinct_poles(unit: np.ndarray, weights: np.ndarray):
+    """Exactly coincident unit poles merged: the distinct poles in
+    increasing order, the summed weight of each, the input position of its
+    first copy (the lowest: the sort is stable) and its number of copies."""
+    order = np.argsort(unit, kind="stable")
+    unit = unit[order]
+    starts = np.flatnonzero(np.r_[True, unit[1:] != unit[:-1]])
+    return (unit[starts], np.add.reduceat(weights[order], starts),
+            order[starts], np.diff(np.r_[starts, unit.size]))
+
+
+def _secular_sums(poles: np.ndarray, weights: np.ndarray, origin: np.ndarray,
+                  tau: np.ndarray):
+    """The one home of the secular sums: at each x = 2*pi*poles[origin] +
+    tau, the rows sum w cot(d/2), its term magnitudes and w / sin^2(d/2),
+    d = x - theta_n, over every pole but the origin.
+
+    ``poles`` are distinct unit phases on the 2**-53 grid, so their
+    differences, reduced to [-1/2, 1/2] turns, are exact and only tau
+    carries the distance to the origin.  Tiles hold at most _TILE_ELEMENTS
+    terms, and each term is one tangent: cot = 1/tan, 1/sin^2 = 1 + cot^2.
+    """
+    sums = np.empty((3, tau.size))
+    f, scale, b_inv = sums
+    step = max(1, _TILE_ELEMENTS // poles.size)
+    for lo in range(0, tau.size, step):
+        tile = slice(lo, lo + step)
+        o = origin[tile]
+        cot = poles[o, None] - poles[None, :]
+        cot -= np.rint(cot)
+        cot *= TWO_PI
+        cot += tau[tile, None]
+        cot *= 0.5
+        np.tan(cot, out=cot)
+        np.divide(1.0, cot, out=cot)
+        rows = np.arange(cot.shape[0])
+        cot[rows, o] = 0.0
+        terms = weights * cot
+        f[tile] = terms.sum(axis=1)
+        scale[tile] = np.abs(terms, out=terms).sum(axis=1)
+        cot *= cot
+        cot += 1.0
+        cot *= weights
+        cot[rows, o] = 0.0
+        b_inv[tile] = cot.sum(axis=1)
+    return sums
+
+
 def cotangent_residual(x, state: KickState, theta: ThetaSequence,
                        lambda_over_hbar: float):
     """sum_n |a_n|^2 cot((x - theta_n)/2) - cot(lambda/(2*hbar)).
@@ -489,34 +547,31 @@ def cotangent_residual(x, state: KickState, theta: ThetaSequence,
     A root in x is an eigenphase of the rank-1 kicked operator built from
     this state.  ``x`` is one point, which gives a float, or an array of
     points, which gives an array of the same shape whose every value is
-    bit-identical to the call at that point.  The points are summed in
-    tiles of at most _TILE_ELEMENTS terms, one tangent per term.  Raises
-    PoleError naming the offending index for the first point that sits on
-    an eigenphase theta_n with nonzero weight.
+    bit-identical to the call at that point.  Each point, reduced mod 2*pi,
+    is its nearest weighted pole plus an offset, summed as the solver sums
+    it (``_secular_sums``), with exactly coincident poles merged.  Raises
+    PoleError for the first point within POLE_TOL of a pole with nonzero
+    weight, naming the pole's index (the lowest of coincident ones).
     """
-    n_terms = min(state.dim, len(theta))
-    w = state.weights()[:n_terms]
-    mask = w > 0.0
-    if not np.any(mask):
+    w = state.weights()[:len(theta)]
+    support = np.flatnonzero(w > 0.0)
+    if not support.size:
         raise ValueError("state carries no weight inside the phase window")
-    cot_kick = math.cos(0.5 * lambda_over_hbar) / _kick_sine(lambda_over_hbar)
-    support = np.flatnonzero(mask)
-    w = w[support]
-    poles = theta.values[support]
-    points = np.asarray(x, dtype=np.float64).reshape(-1)
-    totals = np.empty(points.size)
-    step = max(1, _TILE_ELEMENTS // poles.size)
-    for lo in range(0, points.size, step):
-        column = points[lo:lo + step, None]
-        hits = np.flatnonzero(circle_distance(column, poles) < POLE_TOL)
-        if hits.size:
-            raise PoleError(int(support[hits[0] % poles.size]))
-        terms = column - poles
-        terms *= 0.5
-        np.tan(terms, out=terms)
-        np.divide(1.0, terms, out=terms)
-        terms *= w
-        totals[lo:lo + step] = terms.sum(axis=1)
+    cot_kick = _kick_cot(lambda_over_hbar)
+    poles, w, first, _ = _distinct_poles(theta.unit_values[support],
+                                         w[support])
+    points = np.mod(np.asarray(x, dtype=np.float64).reshape(-1), TWO_PI)
+    # the nearest pole, cyclically: midpoints between neighbours bound the
+    # cell of each pole
+    cells = 0.5 * (np.r_[poles[-1] - 1.0, poles] + np.r_[poles, poles[0] + 1.0])
+    origin = (np.searchsorted(cells, points / TWO_PI, "right") - 1) % poles.size
+    tau = points - TWO_PI * poles[origin]
+    tau -= TWO_PI * np.rint(tau / TWO_PI)
+    hits = np.flatnonzero(np.abs(tau) < POLE_TOL)
+    if hits.size:
+        raise PoleError(int(support[first[origin[hits[0]]]]))
+    totals, _, _ = _secular_sums(poles, w, origin, tau)
+    totals += w[origin] / np.tan(0.5 * tau)
     totals -= cot_kick
     return float(totals[0]) if np.ndim(x) == 0 else totals.reshape(np.shape(x))
 

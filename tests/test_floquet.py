@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kickspec import floquet
 from kickspec.errors import (
     ProvenanceError,
     ResourceLimitError,
@@ -13,8 +14,7 @@ from kickspec.floquet import (
     MAX_KICKS,
     _EPS,
     _RECORD_ELEMENTS,
-    _SecularBlock,
-    _secular_blocks,
+    _secular_block,
     build_floquet,
     eigen_decompose,
     evolve,
@@ -27,10 +27,16 @@ from kickspec.spectral import (
     BaseSpectrum,
     KickEnsemble,
     KickState,
+    _distinct_poles,
+    _kick_cot,
+    _secular_sums,
     alpha_sequence,
+    b_inverse_partial,
+    circle_distance,
     cotangent_residual,
     full_support_state,
     orthonormal_ensemble,
+    point_mass,
     power_law_state,
     theta_sequence,
 )
@@ -232,25 +238,19 @@ class TestEigenDecompose:
             assert abs(dec.weights[k].sum() - 1.0) <= 1e-10
 
 
-def _sine_cosine_other_poles(self, origin, tau):
-    """Oracle of ``_SecularBlock._other_poles``: the same sums with a sine
-    and a cosine per term, cot = cos/sin and 1/sin^2 = 1/(sin*sin)."""
-    f = np.empty(tau.size)
-    scale = np.empty(tau.size)
-    b_inv = np.empty(tau.size)
-    w = self.pole_weights
-    for tile in self._tiles(tau.size):
-        half = self._half_angles(origin[tile], tau[tile])
-        s = np.sin(half)
-        cot = w * (np.cos(half) / s)
-        inv_sq = w / (s * s)
-        rows = np.arange(half.shape[0])
-        cot[rows, origin[tile]] = 0.0
-        inv_sq[rows, origin[tile]] = 0.0
-        f[tile] = cot.sum(axis=1)
-        scale[tile] = np.abs(cot).sum(axis=1)
-        b_inv[tile] = inv_sq.sum(axis=1)
-    return f - self.cot_kick, scale + abs(self.cot_kick), b_inv
+def _sine_cosine_sums(poles, weights, origin, tau):
+    """Oracle of ``spectral._secular_sums``: the same sums in one pass with a
+    sine and a cosine per term, cot = cos/sin and 1/sin^2 = 1/(sin*sin)."""
+    half = poles[origin, None] - poles[None, :]
+    half -= np.rint(half)
+    half = 0.5 * (TWO_PI * half + tau[:, None])
+    s = np.sin(half)
+    cot = weights * (np.cos(half) / s)
+    inv_sq = weights / (s * s)
+    rows = np.arange(tau.size)
+    cot[rows, origin] = 0.0
+    inv_sq[rows, origin] = 0.0
+    return cot.sum(axis=1), np.abs(cot).sum(axis=1), inv_sq.sum(axis=1)
 
 
 def _benchmark_operator(dim, strengths):
@@ -276,14 +276,23 @@ class TestTangentSecularSums:
     def test_sums_match_sine_cosine_form(self, dim, strengths):
         # at each root, seen from the pole on its left: f within half the
         # solver's 8-ulp acceptance window, the other sums within 1e-14
-        blocks, _ = _secular_blocks(_benchmark_operator(dim, strengths))
-        for block in blocks:
-            origin = np.arange(block.poles.size)
-            tau = block.roots - TWO_PI * block.poles
+        v = _benchmark_operator(dim, strengths)
+        for state, phase in zip(v.ensemble.states, v.kick_phases):
+            support = np.flatnonzero(state.coefficients)
+            unit = v.theta.unit_values[support]
+            weights = state.weights()[support]
+            poles, merged, _, _ = _distinct_poles(unit, weights)
+            roots = _secular_block(unit, weights, phase)[0][:poles.size]
+            origin = np.arange(poles.size)
+            tau = roots - TWO_PI * poles
             tau = (tau + math.pi) % TWO_PI - math.pi
-            f, scale, b_inv = block._other_poles(origin, tau)
-            f_ref, scale_ref, b_inv_ref = _sine_cosine_other_poles(
-                block, origin, tau)
+            # the solver's f and scale also hold the kick's cot(lambda/2)
+            cot_kick = _kick_cot(phase)
+            f, scale, b_inv = _secular_sums(poles, merged, origin, tau)
+            f_ref, scale_ref, b_inv_ref = _sine_cosine_sums(
+                poles, merged, origin, tau)
+            f, f_ref = f - cot_kick, f_ref - cot_kick
+            scale, scale_ref = scale + abs(cot_kick), scale_ref + abs(cot_kick)
             assert np.all(np.abs(f - f_ref) <= 4.0 * _EPS * scale_ref)
             assert np.all(np.abs(scale - scale_ref) <= 1e-14 * scale_ref)
             assert np.all(np.abs(b_inv - b_inv_ref) <= 1e-14 * b_inv_ref)
@@ -300,8 +309,7 @@ class TestTangentSecularSums:
                                       monkeypatch):
         v = _benchmark_operator(dim, strengths)
         dec = eigen_decompose(v)
-        monkeypatch.setattr(_SecularBlock, "_other_poles",
-                            _sine_cosine_other_poles)
+        monkeypatch.setattr(floquet, "_secular_sums", _sine_cosine_sums)
         ref = eigen_decompose(v)
         # eigenphases lie in [0, 2*pi): their bit patterns order as they do
         ulps = np.abs(dec.eigenphases.view(np.int64)
@@ -309,6 +317,25 @@ class TestTangentSecularSums:
         assert int(ulps.max()) <= 2
         assert np.all(np.abs(dec.weights - ref.weights)
                       <= weight_rtol * ref.weights)
+
+
+class TestCrossPipeline:
+    @pytest.mark.parametrize("dim", [64, 512])
+    def test_sweep_point_mass_matches_solver_weight(self, dim):
+        # the counting pipeline's B^-1 at each float root x_i gives the
+        # solver's weight w_i; float x_i is ill-conditioned near a pole, so
+        # the bound scales with ulp(x_i) over the distance d_i to the nearest
+        # weighted pole
+        v = build_floquet(HARMONIC, rank1_full(dim), dim)
+        dec = eigen_decompose(v)
+        state = v.ensemble.states[0]
+        poles = v.theta.values[state.weights() > 0.0]
+        weighted = dec.weights[0] > 0.0
+        for x, w in zip(dec.eigenphases[weighted], dec.weights[0][weighted]):
+            mass = point_mass(1.0, b_inverse_partial(float(x), state, v.theta,
+                                                     dim))
+            d = float(circle_distance(x, poles).min())
+            assert abs(mass - w) <= (2.0 * np.spacing(x) / d + 1e-13) * w
 
 
 class TestEvolve:

@@ -11,7 +11,7 @@ from kickspec.errors import (
     PoleError,
     TrivialPerturbationError,
 )
-from kickspec.floquet import truncate_state
+from kickspec.floquet import build_floquet, eigen_decompose, truncate_state
 from kickspec.rationals import golden_ratio
 from kickspec.spectral import (
     BaseSpectrum,
@@ -31,6 +31,7 @@ from kickspec.spectral import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(np.float64).eps)
 GOLDEN = golden_ratio(200).as_fraction()
 
 
@@ -393,6 +394,81 @@ class TestCotangentResidual:
             cotangent_residual(np.array([math.pi / 4, math.pi]),
                                equal_pair_state(), theta_zero_pi(), 1.0)
         assert err.value.index == 1
+
+    @staticmethod
+    def direct_sum(xs, state, theta, lam):
+        """f(x), the sum of its term magnitudes and f'(x) at each point, with
+        a sine and a cosine per term, summed by math.fsum."""
+        w = state.weights()[:len(theta)]
+        keep = w > 0.0
+        half = 0.5 * (xs[:, None] - theta.values[:w.size][keep])
+        terms = w[keep] * (np.cos(half) / np.sin(half))
+        slopes = -0.5 * w[keep] / np.sin(half) ** 2
+        kick = -math.cos(0.5 * lam) / math.sin(0.5 * lam)
+        return (np.array([math.fsum([*row, kick]) for row in terms]),
+                np.array([math.fsum(np.abs(row)) + abs(kick) for row in terms]),
+                np.array([math.fsum(row) for row in slopes]))
+
+    @pytest.mark.parametrize("beta, dim", [
+        pytest.param(GOLDEN, 64, id="golden-64"),
+        pytest.param(GOLDEN, 512, id="golden-512"),
+        pytest.param(Fraction(1, 3), 64, id="third-64"),
+    ])
+    def test_matches_direct_sum_at_roots(self, beta, dim):
+        # the residual shares the solver's sums, so it is checked against an
+        # independent sum at the same float x: within the rounding of the
+        # terms and of x itself
+        spec = BaseSpectrum.harmonic(beta)
+        matrix = build_floquet(spec, orthonormal_ensemble(0.75, 1, dim, [1.0]),
+                               dim)
+        dec = eigen_decompose(matrix)
+        roots = dec.eigenphases[dec.weights[0] > 0.0]
+        state = matrix.ensemble.states[0]
+        f = cotangent_residual(roots, state, matrix.theta, 1.0)
+        f_ref, magnitude, slope = self.direct_sum(roots, state, matrix.theta,
+                                                  1.0)
+        bound = 8.0 * EPS * magnitude + np.abs(slope) * np.spacing(roots)
+        assert np.all(np.abs(f - f_ref) <= bound)
+
+    def test_poles_wrap_across_zero(self):
+        # a point just below 2*pi is on the pole at 0, and a point just above
+        # 0 is on the pole just below 2*pi
+        with pytest.raises(PoleError) as err:
+            cotangent_residual(TWO_PI - 1e-13, equal_pair_state(),
+                               theta_zero_pi(), 1.0)
+        assert err.value.index == 0
+        theta = ThetaSequence(unit_values=np.array([0.25, 1.0 - 2.0**-53]))
+        with pytest.raises(PoleError) as err:
+            cotangent_residual(1e-13, equal_pair_state(), theta, 1.0)
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("k, lowest", [(7, 1), (9, 3), (11, 2)])
+    def test_coincident_poles_name_lowest_index(self, k, lowest):
+        # at beta = 1/3 the phases repeat with period 3; index 0 carries no
+        # weight, so the pole at 0 is first weighted at index 3
+        state = power_law_state(0.75, 12)
+        theta = theta_sequence(BaseSpectrum.harmonic(Fraction(1, 3)), 12)
+        for x in (theta.values[k], np.array([1.0, theta.values[k]])):
+            with pytest.raises(PoleError) as err:
+                cotangent_residual(x, state, theta, 1.0)
+            assert err.value.index == lowest
+
+    def test_shift_by_two_pi(self):
+        state, theta = self.golden_setup(64)
+        rng = np.random.default_rng(19)
+        xs = np.concatenate([rng.uniform(0.0, TWO_PI, 20),
+                             theta.values[[5, 17, 40]] + 1e-7])
+        f = cotangent_residual(xs, state, theta, 1.0)
+        _, magnitude, slope = self.direct_sum(xs, state, theta, 1.0)
+        for shift in (TWO_PI, -TWO_PI, 2.0 * TWO_PI):
+            shifted = xs + shift
+            bound = (16.0 * EPS * magnitude
+                     + np.abs(slope) * np.spacing(np.abs(shifted)))
+            assert np.all(np.abs(cotangent_residual(shifted, state, theta, 1.0)
+                                 - f) <= bound)
+            with pytest.raises(PoleError) as err:
+                cotangent_residual(theta.values[17] + shift, state, theta, 1.0)
+            assert err.value.index == 17
 
     @pytest.mark.parametrize("x", [1.0, np.array([1.0, 2.0])],
                              ids=["scalar", "array"])
