@@ -38,7 +38,7 @@ from .equidistribution import (
 )
 from .errors import ResourceLimitError, ToleranceError
 from .floquet import (
-    MAX_DIM,
+    _check_dim,
     build_floquet,
     eigen_decompose,
     evolve,
@@ -190,8 +190,7 @@ def _spectrum_from_args(args) -> BaseSpectrum:
 
 def _ensemble_from_args(args, dim: int) -> KickEnsemble:
     # before any state is built: the states have dim entries each
-    if dim > MAX_DIM:
-        raise ResourceLimitError(f"dim = {dim} exceeds the dense limit {MAX_DIM}")
+    _check_dim(dim)
     strengths = parse_float_list(args.lambdas) if args.rank else ()
     if args.rank and len(strengths) != args.rank:
         raise ValueError(f"need exactly {args.rank} values in --lambdas")

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import OracleSizeError
 from .rationals import (
     _LIMB_MASK,
-    UNIT_SCALE,
     RationalApprox,
     polynomial_fractional_parts,
 )
@@ -66,13 +65,15 @@ _ET_BAND = 64
 # harmonic offsets within a chunk stay below 2**13; larger chunks run no
 # faster and hold more memory
 _LINEAR_BLOCK = 1 << 13
-_UNIT_F = float(UNIT_SCALE)
 _ORACLE_MAX_POINTS = 2000
-# Float deviations carry a few ulp of error; anything this close to the float
-# maximum is re-checked exactly.
+# Pairs per row block of the oracle's enumeration.  At the 2000-point cap,
+# blocks of 2**16 ran faster than 2**18 or 2**20 and hold a few MB.
+_ORACLE_BLOCK = 1 << 16
+# Float terms of ``discrepancy_exact`` carry a few ulp of error; every term
+# this close to an extreme is settled exactly.
 _EXACT_BAND = 1e-12
-# On x86 long double has a 64-bit mantissa, enough to hold the deviation
-# numerators (below 2000 * 2**53 < 2**64) exactly.
+# On x86 long double has a 64-bit mantissa, enough to hold every integer
+# below 2**64 exactly.
 _HAVE_EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
@@ -175,14 +176,6 @@ def _checked_points(points: Iterable[float]) -> np.ndarray:
     return xs
 
 
-def _lattice_numerators(xs: np.ndarray) -> np.ndarray | None:
-    """Integer k with x = k / 2**53 for every point, or None off the grid."""
-    scaled = xs * _UNIT_F  # exact: multiplication by a power of two
-    if np.all(scaled == np.floor(scaled)):
-        return scaled.astype(np.int64)
-    return None
-
-
 def discrepancy_exact(points: Iterable[float]) -> DiscrepancyReport:
     """Extreme discrepancy over all half-open intervals [a, b) in [0, 1).
 
@@ -219,13 +212,15 @@ def discrepancy_oracle(points: Iterable[float]) -> float:
     Enumerates every interval [a, b) whose endpoints are sample points or
     0/1, in all four one-sided-limit variants (endpoint included or
     approached from above), counting with half-open semantics.  Quadratic in
-    the number of distinct points; inputs are capped at 2000 points.
+    the number of distinct points, walked in row blocks of bounded memory;
+    inputs are capped at 2000 points.
 
-    On the 2**-53 lattice the deviation numerators count*2**53 - N*(k_b-k_a)
-    stay below 2**64, so the whole enumeration runs exactly in 80-bit
-    extended floats with no rounding anywhere; off-lattice inputs fall back
-    to a float scan whose near-maximal candidates are settled in rational
-    arithmetic.
+    Every float is k / d exactly, with d a power of two.  Over the largest
+    denominator D of the distinct values an interval's deviation is
+    |count D - N (k_b - k_a)| / (N D), and that numerator is the difference
+    of two per-endpoint integers c D - N k.  They are held in 80-bit
+    extended floats when N D < 2**64, as on the 2**-53 lattice, and in
+    Python integers otherwise, so no step rounds.
     """
     xs = np.sort(_checked_points(points))
     n = xs.size
@@ -234,57 +229,34 @@ def discrepancy_oracle(points: Iterable[float]) -> float:
             f"oracle input has {n} > {_ORACLE_MAX_POINTS} points")
     values = np.unique(np.concatenate([xs, [0.0, 1.0]]))
     m = values.size
-    left = np.searchsorted(xs, values, side="left")
-    right = np.searchsorted(xs, values, side="right")
-    upper = np.triu(np.ones((m, m), dtype=bool), k=1)
-    below_one = (values < 1.0)[None, :]
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    denominator = max(d for _, d in ratios)
+    if _HAVE_EXTENDED and n * denominator < 1 << 64:
+        scale = np.longdouble(denominator)
+        nk = (values * float(denominator)).astype(np.longdouble) * n
+    else:
+        scale = denominator
+        nk = np.array([n * k * (denominator // d) for k, d in ratios],
+                           dtype=object)
+    # c D - N k per endpoint, with c the count of points below it (left) or
+    # at or below it (right)
+    lefts, rights = (np.searchsorted(xs, values, side=side).astype(
+        nk.dtype) * scale - nk for side in ("left", "right"))
 
-    # (start counts, end counts, validity mask) for the four limit variants:
-    # [v, u), [v, u+), [v+, u), [v+, u+)
-    combos = (
-        (left, left, upper),
-        (left, right, (np.triu(np.ones((m, m), dtype=bool), k=0)) & below_one),
-        (right, left, upper),
-        (right, right, upper & below_one),
-    )
-
-    ks = _lattice_numerators(values)
-    if ks is not None and _HAVE_EXTENDED:
-        # exact integer arithmetic, vectorised: the deviation numerator over
-        # the common denominator N * 2**53 is a difference of per-endpoint
-        # numerators c * 2**53 - N * k, each integer below 2**64
-        scale = np.longdouble(UNIT_SCALE)
-        lattice = ks.astype(np.longdouble) * n
-        best_num = -1
-        for start, end, mask in combos:
-            dev_num = np.subtract.outer(start * scale - lattice,
-                                        end * scale - lattice)
-            np.abs(dev_num, out=dev_num)
-            best_num = max(best_num,
-                           int(np.max(dev_num, where=mask, initial=-1.0)))
-        return float(Fraction(best_num, n * UNIT_SCALE))
-
-    lengths = values[None, :] - values[:, None]
-    float_best = -1.0
-    combo_results = []
-    for start, end, mask in combos:
-        counts = end[None, :] - start[:, None]
-        dev = np.abs(counts / n - lengths)
-        dev[~mask] = -1.0
-        float_best = max(float_best, float(dev.max()))
-        combo_results.append((counts, dev))
-    best_exact: Fraction | None = None
-    for counts, dev in combo_results:
-        for i, j in zip(*np.nonzero(dev >= float_best - _EXACT_BAND)):
-            if ks is not None:
-                gap = Fraction(int(ks[j] - ks[i]), UNIT_SCALE)
-            else:
-                gap = Fraction(float(values[j])) - Fraction(float(values[i]))
-            exact = abs(Fraction(int(counts[i, j]), n) - gap)
-            if best_exact is None or exact > best_exact:
-                best_exact = exact
-    assert best_exact is not None
-    return float(best_exact)
+    best = 0
+    rows = max(1, _ORACLE_BLOCK // m)
+    for lo in range(0, m, rows):
+        i = np.arange(lo, min(lo + rows, m))[:, None]
+        j = np.arange(lo, m)
+        after = j > i
+        # [v, u), [v, u+), [v+, u), [v+, u+); u+ needs u < 1, the last value
+        for starts, ends, mask in ((lefts, lefts, after),
+                                   (lefts, rights, (j >= i) & (j < m - 1)),
+                                   (rights, lefts, after),
+                                   (rights, rights, after & (j < m - 1))):
+            dev = np.abs(ends[lo:] - starts[i])
+            best = max(best, int(np.max(dev, where=mask, initial=0)))
+    return best / (n * denominator)  # int / int is correctly rounded
 
 
 def erdos_turan_bounds(points: Iterable[float], sizes: Sequence[int],

@@ -24,9 +24,9 @@ from its poles' unit phases and weights alone.  Roots are found in the
 offset from the nearer pole (Bunch, Nielsen and Sorensen 1978; Gragg and
 Reichel 1990 for the unitary case), O(dim^2) per block, with the secular
 sums of ``spectral._secular_sums``, the kernel that ``cotangent_residual``
-shares.  Dynamics apply V matrix-free, O(dim * N) per kick.  The dense
-matrix is assembled only on request (``FloquetMatrix.entries``), for tests
-and oracles; dim <= 4096.
+shares.  Dynamics apply V matrix-free, O(dim * N) per kick.  Operators
+stop at dim 4096, where the rounding floor of ``max_secular_residual``
+reaches 2.7e-5.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ __all__ = [
     "wiener_average",
 ]
 
+# Not a cost limit: the secular residual that ``spectrum`` reports, taken at
+# the float-rounded eigenphase, has a rounding floor |f'(x)| ulp(x) / 2 that
+# reads 8.9e-7 at dim 1024 and 2.7e-5 at dim 4096.
 MAX_DIM = 4096
 MAX_KICKS = 10**7
 UNITARITY_TOL = 1e-10
@@ -93,7 +96,7 @@ class FloquetMatrix:
 
     ``ensemble`` holds the kick states truncated to ``dim`` = len(theta).
     Everything else is derived: ``u`` = e^{i theta}, ``kick_phases[k]`` =
-    lambda_k/hbar, ``mu`` and, on first access, the dense ``entries``.
+    lambda_k/hbar and ``mu``.
     """
 
     spectrum: BaseSpectrum
@@ -122,20 +125,16 @@ class FloquetMatrix:
         """Kick factors mu_k = e^{i kick_phases[k]} - 1."""
         return _kick_factors(self.kick_phases)
 
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """The dense dim x dim matrix (I + sum_k mu_k P_k) @ diag(u)."""
-        kick = np.eye(self.dim, dtype=np.complex128)
-        for state, mu_k in zip(self.ensemble.states, self.mu):
-            psi = state.coefficients
-            kick += mu_k * np.outer(psi, psi.conj())
-        entries = kick * self.u[None, :]
-        entries.setflags(write=False)
-        return entries
-
 
 def _kick_factors(kick_phases) -> np.ndarray:
     return np.exp(1j * np.asarray(kick_phases, dtype=float)) - 1.0
+
+
+def _check_dim(dim: int) -> None:
+    """Raise ResourceLimitError for a dim above MAX_DIM, before anything of
+    that size is built."""
+    if dim > MAX_DIM:
+        raise ResourceLimitError(f"dim = {dim} exceeds the dense limit {MAX_DIM}")
 
 
 def truncate_state(state: KickState, dim: int) -> KickState:
@@ -179,8 +178,7 @@ def build_floquet(spec: BaseSpectrum, ensemble: KickEnsemble,
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    if dim > MAX_DIM:
-        raise ResourceLimitError(f"dim = {dim} exceeds the dense limit {MAX_DIM}")
+    _check_dim(dim)
     kick_phases = tuple(s / spec.hbar for s in ensemble.strengths)
     for strength, phase in zip(ensemble.strengths, kick_phases):
         if not math.isfinite(phase):
@@ -310,16 +308,19 @@ def _secular_block(unit: np.ndarray, weights: np.ndarray,
 def eigen_decompose(matrix: FloquetMatrix) -> EigenDecomposition:
     """Eigenphases of V and the spectral weights of its kick states.
 
-    Kick states must have pairwise disjoint supports (EnsembleError
-    otherwise); V is then a direct sum of rank-1 blocks, solved through the
-    cotangent secular equation, and of untouched basis states e_n, which keep
-    the phase theta_n.  The weights of kick state k are its point masses
+    A state's support is where its weight |a_n|**2 is positive, so a
+    coefficient whose square underflows is no pole.  Kick states must have
+    pairwise disjoint supports (EnsembleError otherwise); V is then a direct
+    sum of rank-1 blocks, solved through the cotangent secular equation, and
+    of the basis states e_n outside every support, which keep the phase
+    theta_n.  The weights of kick state k are its point masses
     B(x)/sin^2(lambda_k/(2 hbar)) at the roots of its block; each row must sum
     to 1 within WEIGHT_SUM_TOL, else ToleranceError.
     """
     if matrix.unitarity_defect > UNITARITY_TOL * matrix.dim:
         raise ToleranceError("input matrix is not unitary to tolerance")
-    supports = [np.flatnonzero(s.coefficients) for s in matrix.ensemble.states]
+    state_weights = [s.weights() for s in matrix.ensemble.states]
+    supports = [np.flatnonzero(w > 0.0) for w in state_weights]
     touched = np.bincount(np.concatenate([np.zeros(0, np.int64), *supports]),
                           minlength=matrix.dim)
     if np.any(touched > 1):
@@ -327,10 +328,10 @@ def eigen_decompose(matrix: FloquetMatrix) -> EigenDecomposition:
             "kick states share basis index "
             f"{int(np.flatnonzero(touched > 1)[0])}; the secular solver "
             "needs pairwise disjoint supports")
-    blocks = [_secular_block(matrix.theta.unit_values[support],
-                             state.weights()[support], phase)
-              for support, state, phase in zip(
-                  supports, matrix.ensemble.states, matrix.kick_phases)]
+    blocks = [_secular_block(matrix.theta.unit_values[support], w[support],
+                             phase)
+              for support, w, phase in zip(supports, state_weights,
+                                           matrix.kick_phases)]
     bare = np.flatnonzero(touched == 0)
     phases = np.concatenate([matrix.theta.values[bare]]
                             + [part for part, _ in blocks])

@@ -574,18 +574,6 @@ class TestSpectrumCommand:
             [math.sqrt(2 - 2 * math.cos(1.0)), math.sqrt(2 - 2 * math.cos(2.0))])
         assert summary["weight_sums"] == pytest.approx([1.0, 1.0], abs=1e-10)
 
-    def test_dense_matrix_never_built(self, tmp_path, monkeypatch):
-        from kickspec.floquet import FloquetMatrix
-
-        def refuse(self):
-            raise AssertionError("the CLI assembled the dense matrix")
-
-        monkeypatch.setattr(FloquetMatrix, "entries", property(refuse))
-        for command in ("spectrum", "dynamics"):
-            assert main([command, "--beta", "golden", "--rank", "2",
-                         "--lambdas", "1.0,2.0", "--dim", "32",
-                         "--out", str(tmp_path / command)]) == 0
-
     # rational phases repeat: eigen_decompose deflates the coincident poles
     # into weightless copies that sit on a weighted pole, and the residual
     # is taken at the weighted eigenphases, the secular roots, only

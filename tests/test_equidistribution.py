@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kickspec import equidistribution
 from kickspec.cli import main
 from kickspec.equidistribution import (
     SequenceSpec,
@@ -227,9 +228,41 @@ class TestDiscrepancy:
 
     def test_offgrid_dense_ties(self):
         # i/n grids sit off the 2**-53 lattice and tie almost everywhere,
-        # so nearly every index is settled in integer arithmetic
-        pts = (np.arange(300) / 300 + 1e-5) % 1.0
-        assert discrepancy_exact(pts).d_n == discrepancy_oracle(pts)
+        # so nearly every index is settled in integer arithmetic; over the
+        # common denominator 2**70 the oracle runs in Python integers
+        for n in (300, 1000):
+            pts = (np.arange(n) / n + 1e-5) % 1.0
+            assert discrepancy_exact(pts).d_n == discrepancy_oracle(pts)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310],
+                             ids=["tiny", "subnormal"])
+    def test_tiny_and_subnormal_points(self, scale):
+        # denominators up to 2**1074, each point repeated once, alone and
+        # beside points near 1
+        rng = np.random.default_rng(11)
+        tiny = np.repeat(rng.random(60) * scale, 2)
+        for pts in (tiny, np.concatenate([tiny, rng.random(40)]),
+                    np.array([5e-324, 1e-320, 5e-324, 2.5e-310])):
+            assert discrepancy_exact(pts).d_n == discrepancy_oracle(pts)
+
+    def test_exact_past_a_rounding_midpoint(self):
+        # D_N = 1/2 + |b - a - 1/2| = 3/4 + 2**-54 + 2**-80 lies 2**-80 above
+        # a midpoint of the float grid and rounds up only if the 2**-80
+        # survives; N D = 2**81 is past what 80-bit floats hold exactly
+        pts = [2.0**-54 - 2.0**-80, 0.75 + 2.0**-53]
+        assert discrepancy_oracle(pts) == 0.75 + 2.0**-53
+        assert discrepancy_exact(pts).d_n == 0.75 + 2.0**-53
+
+    def test_lattice_without_extended_floats(self, monkeypatch):
+        # where long double has no 64-bit mantissa, lattice inputs take the
+        # Python-integer enumeration and must give the same value
+        rng = np.random.default_rng(5)
+        lists = [rng.random(n) for n in (1, 7, 300)]
+        lists += [np.repeat(rng.random(100), 3), np.arange(64) / 64]
+        extended = [discrepancy_oracle(pts) for pts in lists]
+        monkeypatch.setattr(equidistribution, "_HAVE_EXTENDED", False)
+        assert [discrepancy_oracle(pts) for pts in lists] == extended
+        assert extended == [discrepancy_exact(pts).d_n for pts in lists]
 
 
 class TestErdosTuran:

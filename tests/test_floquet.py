@@ -41,6 +41,8 @@ from kickspec.spectral import (
     theta_sequence,
 )
 
+from test_floquet_oracle import dense_matrix
+
 TWO_PI = 2.0 * math.pi
 GOLDEN = golden_ratio(200).as_fraction()
 HARMONIC = BaseSpectrum.harmonic(GOLDEN)
@@ -65,19 +67,20 @@ class TestBuildFloquet:
         spec, ensemble = two_level_setup()
         v = build_floquet(spec, ensemble, 2)
         expected = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-        assert np.allclose(v.entries, expected, atol=1e-12)
+        assert np.allclose(dense_matrix(v), expected, atol=1e-12)
 
     def test_empty_ensemble_gives_bare_evolution(self):
         spec, _ = two_level_setup()
         empty = KickEnsemble(states=(), strengths=())
         v = build_floquet(spec, empty, 4)
         u = np.diag(np.exp(1j * theta_sequence(spec, 4).values))
-        assert np.array_equal(v.entries, u)
+        assert np.array_equal(dense_matrix(v), u)
 
     def test_unitarity_across_dims(self):
         for dim in (2, 16, 64):
             v = build_floquet(HARMONIC, rank1_full(dim), dim)
-            gram = v.entries.conj().T @ v.entries
+            entries = dense_matrix(v)
+            gram = entries.conj().T @ entries
             assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
 
     def test_rank2_unitarity(self):
@@ -94,7 +97,7 @@ class TestBuildFloquet:
         u = np.diag(np.exp(1j * theta_sequence(HARMONIC, 16).values))
         product = (np.eye(16) + (np.exp(-1j * lam) - 1.0)
                    * np.outer(psi, psi.conj())) @ u
-        assert np.max(np.abs(v.entries - product)) <= 1e-12
+        assert np.max(np.abs(dense_matrix(v) - product)) <= 1e-12
         assert v.kick_phases == (-lam,)
 
     def test_stores_only_underivable_parts(self):
@@ -119,7 +122,7 @@ class TestBuildFloquet:
         for state, lam in zip(ens.states, ens.strengths):
             psi = state.coefficients
             direct += (np.exp(1j * lam) - 1.0) * np.outer(psi, psi.conj()) @ u
-        assert np.allclose(v.entries, direct, atol=1e-12)
+        assert np.allclose(dense_matrix(v), direct, atol=1e-12)
 
     def test_trivial_kick_rejected(self):
         with pytest.raises(TrivialPerturbationError):
@@ -376,9 +379,10 @@ class TestEvolve:
         v = build_floquet(HARMONIC, rank1_full(dim, strength=0.9), dim)
         psi0 = v.ensemble.states[0].coefficients
         trace = evolve(v, v.ensemble.states[0], n_kicks=12)
+        entries = dense_matrix(v)
         psi = psi0.copy()
         for n in range(1, 13):
-            psi = v.entries @ psi
+            psi = entries @ psi
             c_n = np.vdot(psi0, psi)
             assert trace.amplitudes[n] == pytest.approx(c_n, abs=1e-10)
 
@@ -389,11 +393,12 @@ class TestEvolve:
         v = build_floquet(HARMONIC, rank1_full(dim, strength=1.1), dim)
         psi0 = v.ensemble.states[0].coefficients
         trace = evolve(v, v.ensemble.states[0], n_kicks=1030)
-        power = np.linalg.matrix_power(np.asarray(v.entries), 1023)
+        entries = dense_matrix(v)
+        power = np.linalg.matrix_power(entries, 1023)
         for n in (1023, 1024, 1025):
             c_n = np.vdot(psi0, power @ psi0)
             assert trace.amplitudes[n] == pytest.approx(c_n, abs=1e-9)
-            power = v.entries @ power
+            power = entries @ power
 
     def test_record_blocks_match_plain_kick_loop(self):
         # 1024 states per record block at dim 256, so 2100 kicks cross two

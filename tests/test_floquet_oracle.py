@@ -1,6 +1,6 @@
 """Differential tests of the secular solver and matrix-free dynamics against
-dense oracles: a complex Schur decomposition of ``FloquetMatrix.entries`` and
-repeated dense matrix-vector products.
+dense oracles: a complex Schur decomposition of the dense matrix of V
+(``dense_matrix``) and repeated dense matrix-vector products.
 
 Phases must agree to 1e-12 and weights to 1e-11.  Where eigenvalues are
 degenerate (rational beta) the eigenbasis is not unique, so weights are
@@ -40,9 +40,18 @@ SIGNS = (pytest.param(1.0, id="additive_r_k"),
          pytest.param(-1.0, id="exponential_product"))
 
 
+def dense_matrix(matrix):
+    """The dense dim x dim matrix (I + sum_k mu_k P_k) @ diag(u) of V."""
+    kick = np.eye(matrix.dim, dtype=np.complex128)
+    for state, mu_k in zip(matrix.ensemble.states, matrix.mu):
+        psi = state.coefficients
+        kick += mu_k * np.outer(psi, psi.conj())
+    return kick * matrix.u[None, :]
+
+
 def schur_oracle(matrix, probes):
     """Sorted eigenphases and |<phi_k|z_i>|^2 from a dense Schur form."""
-    t, z = scipy.linalg.schur(np.asarray(matrix.entries), output="complex")
+    t, z = scipy.linalg.schur(dense_matrix(matrix), output="complex")
     phases = np.angle(np.diag(t)) % TWO_PI
     order = np.argsort(phases, kind="stable")
     weights = np.array([np.abs(p.coefficients.conj() @ z[:, order]) ** 2
@@ -148,6 +157,21 @@ class TestSecularAgainstSchur:
         ensemble = orthonormal_ensemble(0.75, 2, 512, [1.0, 6.2])
         assert_matches_oracle(build_floquet(HARMONIC, ensemble, 512))
 
+    @pytest.mark.parametrize("dim", (16, 64))
+    def test_underflowing_coefficient_is_no_pole(self, dim):
+        # |a_5|**2 underflows to 0: index 5 stays a bare basis state with
+        # the phase theta_5 and no weight, not a weightless pole
+        coeffs = np.array(full_support_state(0.75, dim).coefficients)
+        coeffs[5] = 1e-170
+        coeffs /= np.linalg.norm(coeffs)
+        ensemble = KickEnsemble(states=(KickState(coefficients=coeffs),),
+                                strengths=(1.0,))
+        matrix = build_floquet(HARMONIC, ensemble, dim)
+        assert_matches_oracle(matrix)
+        dec = eigen_decompose(matrix)
+        bare = np.flatnonzero(dec.eigenphases == matrix.theta.values[5])
+        assert bare.size == 1 and dec.weights[0, bare[0]] == 0.0
+
 
 class TestSolverContract:
     def test_overlapping_supports_rejected(self):
@@ -176,7 +200,7 @@ class TestSolverContract:
 class TestUnitarityDefect:
     @staticmethod
     def gram_defect(matrix):
-        entries = np.asarray(matrix.entries)
+        entries = dense_matrix(matrix)
         gram = entries.conj().T @ entries
         return float(np.max(np.abs(gram - np.eye(matrix.dim))))
 
@@ -217,12 +241,13 @@ class TestMatrixFreeEvolve:
         trace = evolve(matrix, state, n_kicks=1030)
         h0 = alpha_sequence(HARMONIC, dim)
         psi0 = state.coefficients
+        entries = dense_matrix(matrix)
         psi = psi0.copy()
         for n in range(1031):
             assert abs(trace.amplitudes[n] - np.vdot(psi0, psi)) <= 1e-11
             energy = float(np.abs(psi) ** 2 @ h0)
             assert abs(trace.energies[n] - energy) <= 1e-11 * max(1.0, energy)
-            psi = matrix.entries @ psi
+            psi = entries @ psi
 
     def test_overlapping_supports_evolve(self):
         # evolution needs no disjoint supports, only orthonormal states
@@ -234,8 +259,9 @@ class TestMatrixFreeEvolve:
         matrix = build_floquet(spec, KickEnsemble(states=(plus, minus),
                                                   strengths=(1.0, 2.0)), 3)
         trace = evolve(matrix, plus, n_kicks=40)
+        entries = dense_matrix(matrix)
         psi = plus.coefficients.copy()
         for n in range(41):
             assert abs(trace.amplitudes[n] - np.vdot(plus.coefficients, psi)) \
                 <= 1e-12
-            psi = matrix.entries @ psi
+            psi = entries @ psi
