@@ -1,8 +1,8 @@
 """Command-line driver for reproducible runs.
 
 Subcommands: discrepancy, weyl, spectrum, scount, dynamics.  Every run writes
-its result tables as CSV plus a manifest.json recording the full parameter
-map and its content hash; identical flag sets produce byte-identical CSVs,
+its result tables and manifest.json through one ``runio.write_run`` call;
+identical flag sets produce byte-identical CSVs,
 including under scount's --threads parallelism (cells are assembled by index,
 never by completion time).
 
@@ -52,14 +52,7 @@ from .rationals import (
     irrational_type_estimate,
     sqrt_two,
 )
-from .runio import (
-    CellCache,
-    ResultTable,
-    manifest_hash,
-    write_csv,
-    write_json,
-    write_manifest,
-)
+from .runio import CellCache, ResultTable, write_run
 from .spectral import (
     BaseSpectrum,
     KickEnsemble,
@@ -243,11 +236,11 @@ def cmd_discrepancy(args) -> int:
                                  f"D_N = {d_n:.6e} at N={n}")
         rows.append((n, d_n, et_bound))
     slope = _log_log_slope(rows)
-    table = ResultTable(columns=("N", "D_N", "ET_bound"), rows=tuple(rows))
     out = Path(args.out)
-    write_csv(out / "discrepancy.csv", table, footer=[("slope", slope, "")])
-    write_manifest(out, "discrepancy", _flag_params(args), __version__,
-                   ["discrepancy.csv"])
+    write_run(out, "discrepancy", _flag_params(args), {
+        "discrepancy.csv": ResultTable(columns=("N", "D_N", "ET_bound"),
+                                       rows=tuple(rows),
+                                       footer=(("slope", slope, ""),))})
     print(f"wrote {out / 'discrepancy.csv'} (slope {slope:.4f})")
     return 0
 
@@ -266,19 +259,16 @@ def cmd_weyl(args) -> int:
         for h, sums in enumerate(by_harmonic, start=1):
             s = sums[i]
             rows.append((n, h, s.real, s.imag, abs(s), abs(s) / n))
-    table = ResultTable(
-        columns=("N", "h", "re_S", "im_S", "modulus", "modulus_over_N"),
-        rows=tuple(rows))
     out = Path(args.out)
-    write_csv(out / "weyl.csv", table)
-    summary = {
-        "conjectured_exponent": conjectured_exponent(args.j, args.epsilon),
-        "classical_exponent":
-            classical_exponent(args.j) if args.j >= 2 else None,
-    }
-    write_json(out / "summary.json", summary)
-    write_manifest(out, "weyl", _flag_params(args), __version__,
-                   ["weyl.csv", "summary.json"])
+    write_run(out, "weyl", _flag_params(args), {
+        "weyl.csv": ResultTable(
+            columns=("N", "h", "re_S", "im_S", "modulus", "modulus_over_N"),
+            rows=tuple(rows)),
+        "summary.json": {
+            "conjectured_exponent": conjectured_exponent(args.j, args.epsilon),
+            "classical_exponent":
+                classical_exponent(args.j) if args.j >= 2 else None,
+        }})
     print(f"wrote {out / 'weyl.csv'}")
     return 0
 
@@ -309,11 +299,9 @@ def cmd_spectrum(args) -> int:
             matrix.ensemble.states[0], theta, matrix.kick_phases[0])
         summary["max_secular_residual"] = float(np.max(np.abs(residuals)))
     out = Path(args.out)
-    write_csv(out / "eigenphases.csv",
-              ResultTable(columns=tuple(columns), rows=rows))
-    write_json(out / "summary.json", summary)
-    write_manifest(out, "spectrum", _flag_params(args), __version__,
-                   ["eigenphases.csv", "summary.json"])
+    write_run(out, "spectrum", _flag_params(args), {
+        "eigenphases.csv": ResultTable(columns=tuple(columns), rows=rows),
+        "summary.json": summary})
     print(f"wrote {out / 'eigenphases.csv'} "
           f"(unitarity defect {matrix.unitarity_defect:.2e})")
     return 0
@@ -327,15 +315,6 @@ def _scount_tables(cell_rows, label_rows) -> tuple[ResultTable, ResultTable]:
                     rows=tuple(tuple(row) for row in cell_rows)),
         ResultTable(columns=("x_rad", "gamma", "label", "inside_window"),
                     rows=tuple(tuple(row) for row in label_rows)))
-
-
-def _cached_scount_tables(payload) -> tuple[ResultTable, ResultTable] | None:
-    """Both tables of a cached payload, or None (a miss) when the payload is
-    absent or either table does not build from it."""
-    try:
-        return _scount_tables(payload["cells"], payload["labels"])
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 def cmd_scount(args) -> int:
@@ -369,12 +348,14 @@ def cmd_scount(args) -> int:
               "gamma_grid": list(gammas), "x_grid": list(xs),
               "n_grid": grid, "variant": args.variant, "eta": eta,
               "precision": args.precision}
-    # the cache key covers the code version; the manifest hash does not
-    key = manifest_hash({"params": params, "version": __version__})
     window = gamma_window(args.j, eta)
     out = Path(args.out)
     cache = CellCache(out / ".cache")
-    tables = _cached_scount_tables(cache.get(key))
+    try:
+        cached = cache.get(params)
+        tables = _scount_tables(cached["cells"], cached["labels"])
+    except (KeyError, TypeError, ValueError):
+        tables = None  # a miss: no entry, or one the tables do not build from
     if tables is None:
         sweep = gamma_sweep(args.j, beta, gammas, xs, grid,
                             variant=args.variant, threads=args.threads)
@@ -384,18 +365,11 @@ def cmd_scount(args) -> int:
         label_rows = [[x, gamma, sweep.labels[(x, gamma)], int(gamma in window)]
                       for gamma in gammas for x in xs]
         tables = _scount_tables(cell_rows, label_rows)
-        cache.put(key, {"cells": cell_rows, "labels": label_rows})
+        cache.put(params, {"cells": cell_rows, "labels": label_rows})
     cells, labels = tables
-
-    write_csv(out / "cells.csv", cells)
-    write_csv(out / "labels.csv", labels)
-    summary = {
-        "eta": eta,
-        "window": [window.lo, window.hi],
-    }
-    write_json(out / "summary.json", summary)
-    write_manifest(out, "scount", params, __version__,
-                   ["cells.csv", "labels.csv", "summary.json"])
+    write_run(out, "scount", params, {
+        "cells.csv": cells, "labels.csv": labels,
+        "summary.json": {"eta": eta, "window": [window.lo, window.hi]}})
     print(f"wrote {out / 'cells.csv'} ({len(cells)} cells)")
     return 0
 
@@ -433,11 +407,10 @@ def cmd_dynamics(args) -> int:
         summary["point_mass_sum"] = mass
         summary["wiener_gap"] = abs(mean - mass)
     out = Path(args.out)
-    write_csv(out / "dynamics.csv", ResultTable(
-        columns=("n", "survival", "energy", "running_cesaro"), rows=rows))
-    write_json(out / "summary.json", summary)
-    write_manifest(out, "dynamics", _flag_params(args), __version__,
-                   ["dynamics.csv", "summary.json"])
+    write_run(out, "dynamics", _flag_params(args), {
+        "dynamics.csv": ResultTable(
+            columns=("n", "survival", "energy", "running_cesaro"), rows=rows),
+        "summary.json": summary})
     print(f"wrote {out / 'dynamics.csv'}")
     return 0
 

@@ -294,10 +294,6 @@ class SweepResult:
         if len(self.labels) != len(self.gamma_grid) * len(self.x_grid):
             raise ValueError("need one growth label per (x, gamma) pair")
 
-    def counts(self, x: float, gamma: float) -> tuple[int, ...]:
-        return tuple(c.s_count for c in self.cells
-                     if c.x == x and c.gamma == gamma)
-
 
 def _growth_label(counts: Sequence[int]) -> GrowthLabel:
     nondecreasing = all(b >= a for a, b in zip(counts, counts[1:]))

@@ -275,10 +275,6 @@ def polynomial_fractional_parts(
             f"work limit {MAX_ANCHOR_WORK}")
 
     out = np.empty(n_terms, dtype=np.float64)
-    if degree == 0:
-        out.fill(unit_float(nums[0] % den, den))
-        return out
-
     offsets = np.arange(block, dtype=np.uint64)
     # 2**64 - sum_k i**k: the low 64 bits at or above which a value with all
     # eleven bits 64..74 set may carry into the output bits

@@ -102,14 +102,6 @@ class BaseSpectrum:
         return cls(beta=(Fraction(0), as_fraction(frequency)), hbar=hbar,
                    period=as_fraction(period))
 
-    @classmethod
-    def from_radians(cls, coefficients: Sequence[float], hbar: float = 1.0,
-                     period: Real = 1) -> "BaseSpectrum":
-        """Build from float coefficients given in radians per n**j."""
-        return cls(beta=tuple(Fraction(float(c)) / Fraction(TWO_PI)
-                              for c in coefficients),
-                   hbar=hbar, period=as_fraction(period))
-
 
 def alpha_sequence(spec: BaseSpectrum, n_terms: int) -> np.ndarray:
     """Eigenvalues alpha_n = 2*pi*hbar*sum_j beta_j n**j for n = 0..n_terms-1."""
@@ -198,8 +190,6 @@ class KickState:
     """One kick vector as coefficients over the basis of the base spectrum.
 
     ``gamma`` is the exponent of a power-law state and None otherwise.
-    ``support``, the indices of the nonzero coefficients, is derived from
-    the coefficients on each access rather than stored.
     """
 
     coefficients: np.ndarray
@@ -217,11 +207,6 @@ class KickState:
                              f"beyond {NORM_TOL}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices n with a_n != 0, in increasing order."""
-        return tuple(np.flatnonzero(self.coefficients).tolist())
 
     @property
     def dim(self) -> int:
@@ -585,9 +570,6 @@ class GammaWindow:
 
     def __contains__(self, gamma: float) -> bool:
         return self.lo < gamma < self.hi
-
-    def __iter__(self):
-        return iter((self.lo, self.hi))
 
 
 def gamma_window(j: int, eta: float) -> GammaWindow:

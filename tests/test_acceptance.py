@@ -278,7 +278,8 @@ def test_criterion_10_divergence_trend():
     sweep = divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.75, xs, N_GRID)
     ratios = []
     for x in xs:
-        counts = sweep.counts(x, 0.75)
+        counts = [c.s_count for c in sweep.cells
+                  if c.x == x and c.gamma == 0.75]
         assert list(counts) == sorted(counts)  # nondecreasing throughout
         at_1e5, at_1e6 = counts[-2], counts[-1]
         assert at_1e6 >= 2 * at_1e5

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -734,21 +735,39 @@ class TestScountCommand:
             for name, data in tables.items():
                 assert (out / name).read_bytes() == data
 
-    def test_cache_key_covers_version(self, tmp_path, monkeypatch):
-        import kickspec.cli as cli_mod
+    def test_cache_misses_after_a_source_change(self, tmp_path):
+        # a copy of the package fills --out, then a mutant of the copy that
+        # doubles every B^-1 partial sum runs into the same --out: it must
+        # write the rows a fresh --out gets, not the cached ones
+        package = Path(kickspec.__file__).resolve().parent
+        shutil.copytree(package, tmp_path / "src" / "kickspec",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
 
-        out = tmp_path / "run"
-        args = ["scount", "--j", "1", "--beta", "golden",
-                "--gamma-grid", "0.75", "--n-grid", "1e3:1e4:2",
-                "--x-count", "2", "--out", str(out)]
-        assert main(args) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        monkeypatch.setattr(cli_mod, "__version__", "99.0.0")
-        assert main(args) == 0
-        assert len(list((out / ".cache").iterdir())) == 2
-        rerun = json.loads((out / "manifest.json").read_text())
+        def scount(out):
+            subprocess.run(
+                [sys.executable, "-m", "kickspec", "scount", "--j", "1",
+                 "--beta", "golden", "--gamma-grid", "0.6,0.75",
+                 "--n-grid", "1e3:1e4:2", "--x-count", "3",
+                 "--out", str(tmp_path / out)],
+                env=env, check=True, capture_output=True)
+            return ((tmp_path / out / "cells.csv").read_bytes(),
+                    json.loads((tmp_path / out / "manifest.json").read_text()))
+
+        before, manifest = scount("run")
+        source = tmp_path / "src" / "kickspec" / "counting.py"
+        text = source.read_text()
+        assert text.count("value = window.b_inverse(n)") == 1
+        source.write_text(text.replace("value = window.b_inverse(n)",
+                                       "value = 2 * window.b_inverse(n)"))
+        after, rerun = scount("run")
+        fresh, _ = scount("fresh")
+        assert after == fresh != before
+        assert len(list((tmp_path / "run" / ".cache").iterdir())) == 2
         assert rerun["hash"] == manifest["hash"]
         assert rerun["params"] == manifest["params"]
+        assert rerun["source_sha256"] != manifest["source_sha256"]
 
 
 class TestDynamicsCommand:

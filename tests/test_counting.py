@@ -357,7 +357,8 @@ class TestDivergenceScan:
         assert all(label == "divergent-trend"
                    for label in sweep.labels.values())
         for x in xs:
-            counts = sweep.counts(x, 0.75)
+            counts = [c.s_count for c in sweep.cells
+                      if c.x == x and c.gamma == 0.75]
             assert list(counts) == sorted(counts)
 
     def test_rational_beta_is_bounded(self):

@@ -201,6 +201,17 @@ class TestPolynomialFractionalParts:
             exact -= math.floor(exact)
             assert vals[n] == unit_float(exact.numerator, exact.denominator)
 
+    @pytest.mark.parametrize("bits", [3, 53, 128, 4096])
+    @pytest.mark.parametrize("n_terms", [1, 4097, 10_000])
+    def test_constant(self, bits, n_terms):
+        # a degree-0 polynomial goes through the block kernel like any other
+        rng = random.Random(bits * n_terms)
+        den = rng.getrandbits(bits) | (1 << (bits - 1))
+        num = rng.randrange(-4 * den, 4 * den)
+        vals = polynomial_fractional_parts([Fraction(num, den)], n_terms,
+                                           start=rng.randrange(-10**15, 10**15))
+        assert np.array_equal(vals, np.full(n_terms, unit_float(num % den, den)))
+
     def test_outputs_on_dyadic_lattice(self):
         vals = polynomial_fractional_parts(
             [Fraction(0), golden_ratio(200).as_fraction()], 100, start=1)

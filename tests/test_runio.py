@@ -1,18 +1,23 @@
 import csv
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import kickspec
+from kickspec import runio
 from kickspec.runio import (
     CellCache,
     ResultTable,
     atomic_write_text,
     canonical_params,
     manifest_hash,
+    source_digest,
     write_csv,
-    write_manifest,
+    write_run,
 )
 
 
@@ -27,6 +32,8 @@ class TestResultTable:
         for cell in (None, True, {"N": 1}, [1], b"1", 1j):
             with pytest.raises(ValueError, match="unsupported cell type"):
                 ResultTable(columns=("a",), rows=((cell,),))
+            with pytest.raises(ValueError, match="unsupported cell type"):
+                ResultTable(columns=("a",), rows=(), footer=(("x", cell),))
 
     def test_len(self):
         t = ResultTable(columns=("a",), rows=((1,), (2,)))
@@ -49,10 +56,13 @@ class TestCsv:
         assert '"a,b"' in path.read_text()
 
     def test_footer_rows(self, tmp_path):
-        table = ResultTable(columns=("n", "v"), rows=((1, 2.0),))
+        # footer rows follow the data rows, in any arity, outside len()
+        table = ResultTable(columns=("n", "v"), rows=((1, 2.0),),
+                            footer=(("slope", -1.0, ""),))
         path = tmp_path / "t.csv"
-        write_csv(path, table, footer=[("slope", -1.0)])
-        assert path.read_text().splitlines()[-1] == "slope,-1.0"
+        write_csv(path, table)
+        assert path.read_text().splitlines()[-2:] == ["1,2.0", "slope,-1.0,"]
+        assert len(table) == 1
 
     def test_byte_identical_rewrites(self, tmp_path):
         table = ResultTable(columns=("n", "v"),
@@ -63,12 +73,12 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
-def csv_writer_bytes(table, footer=()):
+def csv_writer_bytes(table):
     """Oracle: csv.writer with QUOTE_MINIMAL over each cell's repr (a float)
     or str (anything else)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    for row in (table.columns, *table.rows, *footer):
+    for row in (table.columns, *table.rows, *table.footer):
         writer.writerow([repr(cell) if isinstance(cell, float) else str(cell)
                          for cell in row])
     return buffer.getvalue().encode()
@@ -105,11 +115,11 @@ class TestCsvWriterEquivalence:
     def test_discrepancy_footer(self, slope, tmp_path):
         table = ResultTable(columns=("N", "D_N", "ET_bound"),
                             rows=((1000, 0.0015, 0.0123),
-                                  (10000, 0.00021, 0.0019)))
-        footer = [("slope", slope, "")]
+                                  (10000, 0.00021, 0.0019)),
+                            footer=(("slope", slope, ""),))
         path = tmp_path / "t.csv"
-        write_csv(path, table, footer=footer)
-        assert path.read_bytes() == csv_writer_bytes(table, footer)
+        write_csv(path, table)
+        assert path.read_bytes() == csv_writer_bytes(table)
         assert path.read_text().splitlines()[-1] == f"slope,{slope!r},"
 
 
@@ -124,39 +134,83 @@ class TestManifest:
         assert canonical_params({"b": 2, "a": 1}) == '{"a":1,"b":2}'
 
     def test_write_and_reload(self, tmp_path):
-        path = write_manifest(tmp_path, "demo", {"x": 1}, "0.1.0",
-                              ["out.csv"])
-        data = json.loads(path.read_text())
+        table = ResultTable(columns=("n",), rows=((1,),))
+        write_run(tmp_path, "demo", {"x": 1}, {"out.csv": table})
+        data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["command"] == "demo"
+        assert data["params"] == {"x": 1}
         assert data["hash"] == manifest_hash({"x": 1})
         assert data["outputs"] == ["out.csv"]
-        assert data["version"] == "0.1.0"
+        assert data["version"] == kickspec.__version__
+        assert data["source_sha256"] == source_digest()
+        assert (tmp_path / "out.csv").read_text() == "n\n1\n"
+
+    def test_outputs_are_the_names_written_in_order(self, tmp_path):
+        table = ResultTable(columns=("n", "v"), rows=((1, 0.5),),
+                            footer=(("slope", -1.0, ""),))
+        summary = {"b": [1.5, None], "a": 2}
+        outputs = {"z.csv": table, "summary.json": summary, "a.csv": table}
+        write_run(tmp_path / "run", "demo", {}, outputs)
+        data = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert data["outputs"] == ["z.csv", "summary.json", "a.csv"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+            ["a.csv", "manifest.json", "summary.json", "z.csv"]
+        write_csv(tmp_path / "t.csv", table)
+        for name in ("z.csv", "a.csv"):
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (tmp_path / "t.csv").read_bytes()
+        assert (tmp_path / "run" / "summary.json").read_text() == \
+            json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "hello")
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
 
+class TestSourceDigest:
+    def test_documented_rule(self):
+        # sha256 over the package's *.py files in name order, each hashed
+        # as its name, a NUL byte and its bytes
+        package = Path(kickspec.__file__).parent
+        names = sorted(name for name in (p.name for p in package.iterdir())
+                       if name.endswith(".py"))
+        assert "runio.py" in names and "__init__.py" in names
+        blob = b"".join(name.encode() + b"\0" + (package / name).read_bytes()
+                        for name in names)
+        assert source_digest() == hashlib.sha256(blob).hexdigest()
+
+    def test_computed_once_per_process(self):
+        assert source_digest() is source_digest()
+
+
 class TestCellCache:
     def test_miss_then_hit(self, tmp_path):
         cache = CellCache(tmp_path / "cache")
-        key = manifest_hash({"p": 1})
-        assert cache.get(key) is None
-        cache.put(key, {"cells": [[1, 2.0]]})
-        assert cache.get(key) == {"cells": [[1, 2.0]]}
+        assert cache.get({"p": 1}) is None
+        cache.put({"p": 1}, {"cells": [[1, 2.0]]})
+        assert cache.get({"p": 1}) == {"cells": [[1, 2.0]]}
 
     def test_exact_match_only(self, tmp_path):
         cache = CellCache(tmp_path / "cache")
-        cache.put(manifest_hash({"p": 1}), {"cells": []})
-        assert cache.get(manifest_hash({"p": 2})) is None
+        cache.put({"p": 1}, {"cells": []})
+        assert cache.get({"p": 2}) is None
+        assert cache.get({"p": 1.0000001}) is None
+
+    def test_key_covers_the_source(self, tmp_path, monkeypatch):
+        cache = CellCache(tmp_path / "cache")
+        cache.put({"p": 1}, {"cells": []})
+        (entry,) = (tmp_path / "cache").iterdir()
+        assert entry.stem == manifest_hash(
+            {"params": {"p": 1}, "source_sha256": source_digest()})
+        monkeypatch.setattr(runio, "source_digest", lambda: "0" * 64)
+        assert cache.get({"p": 1}) is None
 
     def test_unreadable_entries_miss(self, tmp_path):
         cache = CellCache(tmp_path / "cache")
-        key = manifest_hash({"p": 1})
-        cache.put(key, {"cells": [[1, 2.0]]})
-        path = tmp_path / "cache" / f"{key}.json"
+        cache.put({"p": 1}, {"cells": [[1, 2.0]]})
+        (path,) = (tmp_path / "cache").iterdir()
         for text in (path.read_text()[:20], "[1, 2]", "", "\udcff"):
             path.write_text(text, errors="surrogateescape")
-            assert cache.get(key) is None
-        cache.put(key, {"cells": []})
-        assert cache.get(key) == {"cells": []}
+            assert cache.get({"p": 1}) is None
+        cache.put({"p": 1}, {"cells": []})
+        assert cache.get({"p": 1}) == {"cells": []}
