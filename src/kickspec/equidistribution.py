@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import OracleSizeError
 from .rationals import (
-    _LIMB_MASK,
     RationalApprox,
+    linear_distances,
     polynomial_fractional_parts,
 )
 
@@ -49,10 +49,10 @@ __all__ = [
 #: take: m times the summed grid sizes, each size counted as at least
 #: ``ET_SIZE_FLOOR`` points.  About 2.5 s at 2.2-2.7 ns per product (m of
 #: 1e3 and more, 2 shared vCPUs, one BLAS thread).  At j = 1 the closed form
-#: ``linear_erdos_turan_bounds`` costs about 30 ns per (harmonic, size) pair
+#: ``linear_erdos_turan_bounds`` costs about 55 ns per (harmonic, size) pair
 #: whatever the size, and the limit admits at most 1e9 / ET_SIZE_FLOOR =
 #: 3.9e6 pairs.  The worst such request, one size, m = 3,906,250 and a
-#: 4096-bit beta, takes 0.12 s in that call and 0.2 s end to end.
+#: 4096-bit beta, takes 0.22 s in that call and 0.45 s end to end.
 MAX_ET_PRODUCTS = 10**9
 #: A harmonic costs 0.7-1.0 us per grid size however few points the size
 #: holds, as much as about 300 products, so a size counts as at least this
@@ -342,8 +342,8 @@ def linear_erdos_turan_bounds(beta: RationalApprox, sizes: Sequence[int],
 
     At j = 1 the harmonic sums are geometric,
     |S_h(N)| = sin(pi ||h N beta||) / sin(pi ||h beta||), so the bounds cost
-    O(m len(sizes)) whatever N is.  Both distances come from fixed-point
-    residues of the exact beta (``_linear_weyl_moduli``).
+    O(m len(sizes)) whatever N is.  Both distances come from the exact
+    beta through ``linear_distances`` (``_linear_weyl_moduli``).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -367,52 +367,20 @@ def _linear_weyl_moduli(beta: RationalApprox, sizes: Sequence[int],
     """|S_h(N)| of {n beta} for N in ``sizes`` (rows) and h = first, ...,
     first + count - 1 (columns).
 
-    With F = round({beta} 2**K), each residue (h N F) mod 2**K is an exact
-    integer in 32-bit limbs and sits within h N / 2 of (h N beta) mod 1
-    scaled by 2**K; K exceeds 128 + log2(h N) for every h and N here.  So
-    the distances carry absolute error below h N 2**-K and the float
-    conversion a few ulp.  |S_h| is N once pi N ||h beta|| < 1e-8 (relative
-    error below 1e-16, and exactly N when q | h) and 0 when ||h N beta|| is
-    within twice its error of 0 (exactly 0 when q | h N, q not dividing h).
+    ``linear_distances`` gives ||h beta|| and ||h N beta|| from the exact
+    beta, each within (1 + i) 2**-128 at h = first + i, plus a few ulp.
+    |S_h| is N once pi N ||h beta|| < 1e-8 (relative error below 1e-16,
+    and exactly N when q | h) and 0 when ||h N beta|| is within twice its
+    error of 0 (exactly 0 when q | h N, q not dividing h).
     """
-    limbs = -(-(128 + ((first + count - 1) * max(sizes)).bit_length()) // 32)
-    bits = 32 * limbs
-    unit = 1 << bits
-    q = beta.denominator
-    frac = ((beta.numerator % q) * unit + q // 2) // q % unit
+    p, q = beta.numerator, beta.denominator
     # row 0 holds ||h beta||, row 1 + s holds ||h N_s beta||
-    steps = [frac] + [n * frac % unit for n in sizes]
-
-    def limb_table(values):
-        data = b"".join(v.to_bytes(4 * limbs, "little") for v in values)
-        table = np.frombuffer(data, dtype="<u4").reshape(len(values), limbs)
-        return table.T.astype(np.uint64)
-
-    step_limbs = limb_table(steps)
-    base_limbs = limb_table([first * v % unit for v in steps])
-    offsets = np.arange(count, dtype=np.uint64)
-    # (first + i) v = first v + i v: limb products stay below 2**45
-    residues = np.empty((limbs, len(steps), count), dtype=np.uint64)
-    carry = np.zeros((len(steps), count), dtype=np.uint64)
-    for k in range(limbs):
-        t = np.multiply.outer(step_limbs[k], offsets)
-        t += base_limbs[k][:, None]
-        t += carry
-        np.bitwise_and(t, _LIMB_MASK, out=residues[k])
-        np.right_shift(t, np.uint64(32), out=carry)
-    # a residue past one half is folded to its complement 2**K - 1 - r,
-    # one unit below the distance
-    residues ^= (residues[-1] >> np.uint64(31)) * _LIMB_MASK
-    dist = np.zeros((len(steps), count))
-    for k in range(limbs - 1, -1, -1):  # most significant limb first
-        dist += residues[k] * 2.0 ** (32 * k - bits)
-
+    dist = linear_distances([p] + [n * p for n in sizes], q, first, count)
     ns = np.array(sizes, dtype=np.float64)[:, None]
-    harmonics = np.arange(first, first + count, dtype=np.float64)
     near = np.pi * ns * dist[0] < 1e-8
     moduli = np.sin(np.pi * dist[1:])
     np.divide(moduli, np.sin(np.pi * dist[0]), out=moduli, where=~near)
-    moduli[dist[1:] <= ns * harmonics * 2.0 ** (1 - bits)] = 0.0
+    moduli[dist[1:] <= np.arange(1, count + 1) * 2.0 ** -127] = 0.0
     return np.where(near, ns, moduli)
 
 

@@ -13,6 +13,8 @@ is evaluated in 128-bit fixed point over numpy limbs, and the few values the
 truncation error could push across a 2**-53 grid boundary are recomputed
 exactly ("float nominates, exact settles").  Its output is bit-identical to
 reducing every term exactly and rounding it with ``unit_float``.
+``linear_distances`` runs the same kernel on degree-1 polynomials for the
+j = 1 Erdos-Turan closed form of ``equidistribution``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "irrational_type_estimate",
     "golden_ratio",
     "sqrt_two",
+    "linear_distances",
     "polynomial_fractional_parts",
     "unit_float",
 ]
@@ -290,12 +293,36 @@ def polynomial_fractional_parts(
         lo = first * block
         hi = min(lo + count * block, n_terms)
         anchors = _block_anchors(nums, den, start + lo, block, count)
-        top, near = _fixed_point_blocks(anchors, offsets, thresholds)
+        limbs = _fixed_point_blocks(anchors, offsets)
+        top = ((limbs[3] << 21) | (limbs[2] >> 11)).ravel()
+        low = (limbs[1] << 32) | limbs[0]
+        near = (((limbs[2] & 0x7FF) == 0x7FF) & (low >= thresholds)).ravel()
         np.multiply(top[:hi - lo], 1.0 / _UNIT_SCALE_F, out=out[lo:hi])
         flagged.append(np.flatnonzero(near[:hi - lo]) + lo)
     for i in np.concatenate(flagged).tolist():
         out[i] = unit_float(_value_mod(nums, start + i, den), den)
     return out
+
+
+def linear_distances(numerators: Sequence[int], den: int, first: int,
+                     count: int) -> np.ndarray:
+    """Distances ||h c / den|| to the nearest integer for every c in
+    ``numerators`` (rows) and h = first, ..., first + count - 1 (columns).
+
+    Row c is one block of h c / den anchored at h = first (D_0 = first c
+    and D_1 = c, both mod den).  At offset i = h - first its 128-bit value
+    falls short by fewer than 1 + i units; one past one half is folded to
+    its complement 2**128 - 1 - v, one unit below the distance.  So every
+    distance is within (1 + i) 2**-128, plus a few ulp from the floats.
+    """
+    anchors = np.concatenate([_block_anchors([0, c], den, first, count, 1)
+                              for c in numerators])
+    limbs = _fixed_point_blocks(anchors, np.arange(count, dtype=np.uint64))
+    limbs ^= (limbs[3] >> np.uint64(31)) * _LIMB_MASK
+    dist = limbs[3] * 2.0 ** -32
+    for k in (2, 1, 0):  # most significant limb first
+        dist += limbs[k] * 2.0 ** (32 * k - 128)
+    return dist
 
 
 def _block_size(degree: int) -> int:
@@ -337,34 +364,30 @@ def _block_anchors(nums: list[int], den: int, first: int, block: int,
     return limbs.reshape(count, degree + 1, 4)
 
 
-def _fixed_point_blocks(anchors: np.ndarray, offsets: np.ndarray,
-                        thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_point_blocks(anchors: np.ndarray,
+                        offsets: np.ndarray) -> np.ndarray:
     """Horner sum_k F_k i**k mod 2**128 for every block and offset i.
 
-    Each limb product stays below 2**44 and each limb sum below 2**45, so
-    uint64 carries are exact.  Returns the top 53 bits of every value and
-    the mask of values whose low 75 bits are at least 2**75 - sum_k i**k,
-    both flattened in (block, offset) order.
+    With offsets below 2**13 each limb product stays below 2**45 and each
+    limb sum below 2**46, so uint64 carries are exact.  Returns uint64 of
+    shape (4, blocks, offsets), least significant 32-bit limb first.
     """
     degree = anchors.shape[1] - 1
     shape = (anchors.shape[0], offsets.size)
-    acc = [np.repeat(anchors[:, degree, limb, None], offsets.size, axis=1)
-           for limb in range(4)]
+    limbs = np.empty((4,) + shape, dtype=np.uint64)
+    np.copyto(limbs, anchors[:, degree].T[:, :, None])
     t = np.empty(shape, dtype=np.uint64)
     carry = np.empty(shape, dtype=np.uint64)
     for k in range(degree - 1, -1, -1):
         for limb in range(4):
-            np.multiply(acc[limb], offsets, out=t)
+            np.multiply(limbs[limb], offsets, out=t)
             t += anchors[:, k, limb, None]
             if limb:
                 t += carry
-            np.bitwise_and(t, _LIMB_MASK, out=acc[limb])
+            np.bitwise_and(t, _LIMB_MASK, out=limbs[limb])
             if limb < 3:
                 np.right_shift(t, 32, out=carry)
-    top = (acc[3] << 21) | (acc[2] >> 11)
-    low = (acc[1] << 32) | acc[0]
-    near = ((acc[2] & 0x7FF) == 0x7FF) & (low >= thresholds)
-    return top.ravel(), near.ravel()
+    return limbs
 
 
 def _value_mod(nums: list[int], n: int, den: int) -> int:

@@ -157,7 +157,8 @@ class CellCache:
     parameters and ``source_digest``, so a change to either misses.
 
     An entry is reused only when its stored key matches byte for byte; one
-    that cannot be read or parsed is a miss, and the next ``put`` replaces it.
+    that cannot be read or parsed is a miss.  ``put`` removes every other
+    entry, so the directory holds the last sweep only.
     """
 
     def __init__(self, directory: Path):
@@ -181,4 +182,8 @@ class CellCache:
     def put(self, params: dict[str, Any], rows) -> None:
         key = self._key(params)
         payload = json.dumps({"key": key, "rows": rows}, sort_keys=True)
-        atomic_write_text(self.directory / f"{key}.json", payload)
+        path = self.directory / f"{key}.json"
+        atomic_write_text(path, payload)
+        for entry in self.directory.glob("*.json"):
+            if entry != path:
+                entry.unlink(missing_ok=True)

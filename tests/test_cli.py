@@ -764,7 +764,7 @@ class TestScountCommand:
         after, rerun = scount("run")
         fresh, _ = scount("fresh")
         assert after == fresh != before
-        assert len(list((tmp_path / "run" / ".cache").iterdir())) == 2
+        assert len(list((tmp_path / "run" / ".cache").iterdir())) == 1
         assert rerun["hash"] == manifest["hash"]
         assert rerun["params"] == manifest["params"]
         assert rerun["source_sha256"] != manifest["source_sha256"]

@@ -402,16 +402,24 @@ class TestLinearErdosTuran:
             expected = 6.0 / (m + 1) + (4.0 / math.pi) * total
             assert bound == pytest.approx(expected, rel=ET_REL_TOL, abs=0)
 
-    @pytest.mark.parametrize("p, q", [(5, 64), (2, 7)])
-    def test_exact_moduli_at_multiples_of_q(self, p, q):
+    # h = 1..200, and a chunk from h = 987654321 to offset 8191, where the
+    # truncation error of the fixed-point distances is largest
+    @pytest.mark.parametrize("p, q, first, count", [
+        pytest.param(p, q, first, count,
+                     id=f"{p}-{q}" if first == 1 else f"{p}-{q}-{first}")
+        for first, count in ((1, 200), (987654321, 8192))
+        for p, q in ((5, 64), (2, 7), (4, 21))])
+    def test_exact_moduli_at_multiples_of_q(self, p, q, first, count):
         # S_h = N where q | h; S_h = 0 where q | h N but q does not divide h.
-        # {5/64} is exact in fixed point, {2/7} is rounded.
-        sizes = [q, 3 * q // 2, q + 1, 1]
+        # {5/64} is exact in fixed point, {2/7} is rounded, and so is
+        # {7 * 4/21} = 1/3, where S_h(7) = 0 at every h divisible by 3.
+        sizes = [q, 3 * q // 2, q + 1, 1, q // 3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            moduli = _linear_weyl_moduli(RationalApprox(p, q), sizes, 1, 200)
+            moduli = _linear_weyl_moduli(RationalApprox(p, q), sizes, first,
+                                         count)
         for n, row in zip(sizes, moduli):
-            for h, modulus in enumerate(row.tolist(), start=1):
+            for h, modulus in enumerate(row.tolist(), start=first):
                 if h % q == 0:
                     assert modulus == n
                 elif h * n % q == 0:

@@ -196,6 +196,14 @@ class TestCellCache:
         assert cache.get({"p": 2}) is None
         assert cache.get({"p": 1.0000001}) is None
 
+    def test_put_keeps_one_entry(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        cache.put({"p": 1}, {"cells": [[1, 2.0]]})
+        cache.put({"p": 2}, {"cells": []})
+        assert len(list((tmp_path / "cache").iterdir())) == 1
+        assert cache.get({"p": 1}) is None
+        assert cache.get({"p": 2}) == {"cells": []}
+
     def test_key_covers_the_source(self, tmp_path, monkeypatch):
         cache = CellCache(tmp_path / "cache")
         cache.put({"p": 1}, {"cells": []})

@@ -196,8 +196,10 @@ class TestCircleDistance:
     @example(x=1e300, angles=[-1e300, math.inf, -math.inf, math.nan])
     @example(x=math.nan, angles=[1.0])
     @example(x=math.inf, angles=[math.inf, 3.0])
+    @example(x=-1.0645712419042719e+297, angles=[1.79769313485167e+308])
     def test_equals_modulo_reduction_bit_for_bit(self, x, angles):
-        with np.errstate(invalid="ignore"):
+        # a difference past the float range overflows to inf on both sides
+        with np.errstate(invalid="ignore", over="ignore"):
             fast = circle_distance(x, np.array(angles))
             slow = modulo_distance(x, angles)
         assert np.array_equal(fast, slow, equal_nan=True)
