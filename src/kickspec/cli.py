@@ -22,7 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import _check_threads, default_x_grid, gamma_sweep
+from .counting import (
+    _check_sweep_bytes,
+    _check_threads,
+    default_x_grid,
+    gamma_sweep,
+)
 from .equidistribution import (
     ET_SIZE_FLOOR,
     MAX_ET_PRODUCTS,
@@ -217,10 +222,16 @@ def cmd_discrepancy(args) -> int:
     grid = parse_size_grid(args.n_grid)
     spec = SequenceSpec(j=args.j, beta=beta)
     # a harmonic costs as much on a tiny prefix as on ET_SIZE_FLOOR points
-    charged = sum(max(n, ET_SIZE_FLOOR) for n in grid)
-    if args.m * charged > MAX_ET_PRODUCTS:
+    prefixes = sum(max(n, ET_SIZE_FLOOR) for n in grid)
+    if spec.j == 1:
+        # the closed form costs per (harmonic, size) pair, and the D_N
+        # prefixes as much as one harmonic of the point sums
+        charged = max(args.m * len(grid) * ET_SIZE_FLOOR, prefixes)
+    else:
+        charged = args.m * prefixes
+    if charged > MAX_ET_PRODUCTS:
         raise ResourceLimitError(
-            f"--m {args.m} harmonics over {charged} charged prefix points "
+            f"--m {args.m} harmonics charge {charged} products, which "
             f"exceed the limit {MAX_ET_PRODUCTS}")
     points = sequence_points(spec, grid[-1])
     if spec.j == 1:
@@ -253,6 +264,12 @@ def cmd_weyl(args) -> int:
         raise ResourceLimitError(
             f"--h-max {args.h_max} sums of up to {grid[-1]} terms exceed "
             f"the limit {MAX_TERMS}")
+    # each harmonic sums every size's prefix on its own
+    terms = sum(grid)
+    if args.h_max * terms > MAX_ET_PRODUCTS:
+        raise ResourceLimitError(
+            f"--h-max {args.h_max} sums over {terms} prefix terms exceed "
+            f"the limit {MAX_ET_PRODUCTS}")
     by_harmonic = [weyl_sums(spec, h, grid) for h in range(1, args.h_max + 1)]
     rows = []
     for i, n in enumerate(grid):
@@ -341,6 +358,8 @@ def cmd_scount(args) -> int:
         # the widest interval (smallest gamma, smallest N) governs spillage
         xs = default_x_grid(args.x_count, n_min=grid[0], gamma=min(gammas),
                             variant=args.variant)
+    # before the phases, the buffers and the cache lookup
+    _check_sweep_bytes(grid[-1], len(gammas), args.threads, len(xs))
 
     # resolved values, not the flags; --threads is left out because the
     # results do not depend on it

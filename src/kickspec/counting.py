@@ -59,6 +59,7 @@ from .spectral import (
 __all__ = [
     "MAX_X_COUNT",
     "MAX_THREADS",
+    "MAX_SWEEP_BYTES",
     "IntervalJ",
     "CountReport",
     "BInverseBounds",
@@ -81,8 +82,16 @@ GrowthLabel = Literal["divergent-trend", "bounded", "inconclusive"]
 _INEQ_SLACK = 1e-12
 #: Most x values ``default_x_grid`` builds (it may try 1000 candidates each).
 MAX_X_COUNT = 10**4
-#: Most worker threads a sweep starts; each holds 25 bytes per phase.
+#: Most worker threads a sweep starts.
 MAX_THREADS = 64
+#: Most bytes a sweep's buffers may take.  Over its N_max + 1 phases a
+#: sweep holds theta (16 bytes per phase), the amplitudes and two masks of
+#: each exponent (10 bytes) and one window per worker (25 bytes).  Above
+#: the 34 MB of the imported package, peak RSS ran 1.13-1.19 times that
+#: charge at N_max = 10^6 and 1.02 times at 10^7 - 1, where the largest
+#: sweeps admitted (one exponent and 3 workers, or 6 exponents and one)
+#: peaked at 1018 MB.  The README and benchmark sweeps charge under 30 MB.
+MAX_SWEEP_BYTES = 2**30
 
 
 def _check_threads(threads: int) -> None:
@@ -90,6 +99,19 @@ def _check_threads(threads: int) -> None:
     if threads > MAX_THREADS:
         raise ResourceLimitError(
             f"{threads} threads exceed the limit {MAX_THREADS}")
+
+
+def _check_sweep_bytes(n_max: int, gammas: int, threads: int,
+                       x_count: int) -> None:
+    """Reject a sweep whose buffers exceed MAX_SWEEP_BYTES before any is
+    allocated; it runs min(threads, x_count) workers."""
+    workers = max(1, min(threads, x_count))
+    charged = (n_max + 1) * (16 + 10 * gammas + 25 * workers)
+    if charged > MAX_SWEEP_BYTES:
+        raise ResourceLimitError(
+            f"{n_max + 1} phases with {gammas} exponents and {workers} "
+            f"workers charge {charged} bytes, which exceed the limit "
+            f"{MAX_SWEEP_BYTES}")
 
 
 def bourget_half_width(n: int, gamma: float) -> float:
@@ -341,6 +363,7 @@ def _sweep(spec: SequenceSpec, gammas: tuple[float, ...],
         for x in xs:
             make_interval(x, sizes[0], gamma, variant)
     n_max = sizes[-1]
+    _check_sweep_bytes(n_max, len(gammas), threads, len(xs))
     theta = theta_sequence(_monomial_spectrum(spec), n_max + 1)
     d_by_n = {n: discrepancy_exact(theta.unit_values[1:n + 1]).d_n for n in sizes}
     amplitudes = {gamma: _amplitudes(_power_law_amplitudes(gamma, n_max + 1))

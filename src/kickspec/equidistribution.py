@@ -50,9 +50,11 @@ __all__ = [
 #: ``ET_SIZE_FLOOR`` points.  About 2.5 s at 2.2-2.7 ns per product (m of
 #: 1e3 and more, 2 shared vCPUs, one BLAS thread).  At j = 1 the closed form
 #: ``linear_erdos_turan_bounds`` costs about 55 ns per (harmonic, size) pair
-#: whatever the size, and the limit admits at most 1e9 / ET_SIZE_FLOOR =
-#: 3.9e6 pairs.  The worst such request, one size, m = 3,906,250 and a
-#: 4096-bit beta, takes 0.22 s in that call and 0.45 s end to end.
+#: whatever the size, so a pair is charged ``ET_SIZE_FLOOR`` products and the
+#: limit admits at most 1e9 / ET_SIZE_FLOOR = 3.9e6 pairs; the D_N prefixes
+#: are charged as one harmonic.  The worst such request, one size, m =
+#: 3,906,250 and a 4096-bit beta, takes 0.22 s in that call and 0.45 s end
+#: to end.  ``weyl`` charges the same unit: h_max times the summed sizes.
 MAX_ET_PRODUCTS = 10**9
 #: A harmonic costs 0.7-1.0 us per grid size however few points the size
 #: holds, as much as about 300 products, so a size counts as at least this

@@ -283,7 +283,10 @@ def full_support_state(gamma: float, dim: int) -> KickState:
 
 @dataclass(frozen=True, eq=False)
 class KickEnsemble:
-    """Orthonormal kick states with their strengths lambda_k (action units)."""
+    """Orthonormal kick states with their strengths lambda_k (action units),
+    checked by one Gram product G of the stacked states, O(N^2 dim): the
+    first pair k < l in row-major order with |G_kl| > NORM_TOL raises
+    EnsembleError.  ``gram_defect`` keeps max |G - I|, 0 for no states."""
 
     states: tuple[KickState, ...]
     strengths: tuple[float, ...]
@@ -293,18 +296,23 @@ class KickEnsemble:
         strengths = tuple(float(s) for s in self.strengths)
         if len(states) != len(strengths):
             raise EnsembleError("need exactly one strength per state")
-        dims = {s.dim for s in states}
-        if len(dims) > 1:
+        if len({s.dim for s in states}) > 1:
             raise EnsembleError("kick states live in different dimensions")
-        for k in range(len(states)):
-            for l in range(k + 1, len(states)):
-                overlap = abs(np.vdot(states[k].coefficients,
-                                      states[l].coefficients))
-                if overlap > NORM_TOL:
-                    raise EnsembleError(
-                        f"states {k} and {l} overlap by {overlap:.3e}")
+        defect = 0.0
+        if states:
+            psi = np.stack([s.coefficients for s in states])
+            gram = psi.conj() @ psi.T
+            gram[np.diag_indices(len(states))] -= 1.0
+            deviation = np.abs(gram)
+            pairs = np.flatnonzero(np.triu(deviation > NORM_TOL, 1))
+            if pairs.size:
+                k, l = divmod(int(pairs[0]), len(states))
+                raise EnsembleError(
+                    f"states {k} and {l} overlap by {deviation[k, l]:.3e}")
+            defect = float(deviation.max())
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "strengths", strengths)
+        object.__setattr__(self, "gram_defect", defect)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -322,8 +330,6 @@ def orthonormal_ensemble(gamma: float, n_states: int, dim: int,
     if n_states > dim - 1:
         raise EnsembleError(f"dim = {dim} too small for {n_states} "
                             "disjoint supports in {1, ..., dim-1}")
-    if len(strengths) != n_states:
-        raise EnsembleError("need exactly one strength per state")
     states = []
     for k in range(n_states):
         support = range(k + 1, dim, n_states)

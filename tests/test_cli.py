@@ -258,6 +258,14 @@ class TestExitCodes:
         assert code == 3
         assert "exceed the limit" in capsys.readouterr().err
         assert not (tmp_path / "weyl.csv").exists()
+        # each harmonic sums every size's prefix: 42,911 sizes summing to
+        # 7.2e9 terms are refused although no size reaches 10^7 / h_max
+        code = main(["weyl", "--j", "1", "--beta", "golden", "--n-grid",
+                     "1:1e6:100000", "--h-max", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "7212475878 prefix terms exceed the limit" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "weyl.csv").exists()
 
     @pytest.mark.parametrize("m", ["0", "-5", "many"])
     def test_m_below_one_rejected(self, m, tmp_path, capsys):
@@ -294,6 +302,32 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
         assert main(["discrepancy", "--beta", "golden", "--n-grid", "1,2,3",
                      "--m", "10000", "--out", str(tmp_path / "small")]) == 0
+        # at j = 1 the closed form is charged per (harmonic, size) pair,
+        # not per prefix point
+        assert main(["discrepancy", "--j", "1", "--beta", "golden",
+                     "--n-grid", "1e3:1e6:4", "--m", "20000",
+                     "--out", str(tmp_path / "pairs")]) == 0
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        # one size at m = 3906250 is charged exactly 10^9 and admitted
+        request = ["discrepancy", "--j", "1", "--beta", "golden",
+                   "--precision", "4096", "--n-grid", "256"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "sequence_points", admitted)
+            with pytest.raises(Admitted):
+                main(request + ["--m", "3906250",
+                                "--out", str(tmp_path / "edge")])
+            assert main(request + ["--m", "3906251",
+                                   "--out", str(tmp_path / "over")]) == 3
+        assert "1000000256 products, which exceed the limit" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "edge").exists()
+        assert not (tmp_path / "over").exists()
 
     def test_erdos_turan_bound_below_d_n(self, tmp_path, monkeypatch,
                                          capsys):
@@ -378,6 +412,33 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")])
         assert code == 3
         assert "1000000 threads exceed the limit 64" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    # 64 windows over 10^7 phases need 16 GB, and 50 exponents' amplitudes
+    # 5 GB: both are refused before any buffer, thread or cache lookup
+    @pytest.mark.parametrize("flags, charged", [
+        (["--threads", "64", "--x-count", "64"], 16260000000),
+        (["--x-grid", "3.0", "--gamma-grid",
+          ",".join(f"{0.51 + 0.01 * k:.2f}" for k in range(50))], 5410000000),
+    ], ids=["threads", "gammas"])
+    def test_sweep_byte_limit(self, flags, charged, tmp_path, monkeypatch,
+                              capsys):
+        import concurrent.futures
+
+        import kickspec.cli as cli_mod
+        import kickspec.counting as counting_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started for a refused sweep")
+
+        monkeypatch.setattr(counting_mod, "theta_sequence", fail)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
+        monkeypatch.setattr(cli_mod, "CellCache", fail)
+        code = main(["scount", "--beta", "golden", "--n-grid",
+                     "1e3:9999999:2", *flags, "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert (f"charge {charged} bytes, which exceed the limit "
+                f"{counting_mod.MAX_SWEEP_BYTES}") in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_kick_limit(self, tmp_path, capsys):

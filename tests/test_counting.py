@@ -589,6 +589,11 @@ class TestSweepCore:
             divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.75,
                             [2.0, 3.0], [1000, 3000],
                             threads=counting_mod.MAX_THREADS + 1)
+        # the buffers of four workers over 10^7 phases are charged
+        # 10^7 * (16 + 10 + 4 * 25) bytes, above MAX_SWEEP_BYTES
+        with pytest.raises(ResourceLimitError, match="1260000000 bytes"):
+            divergence_scan(SequenceSpec(j=1, beta=GOLDEN), 0.75,
+                            [2.0, 3.0, 4.0, 5.0], [1000, 9999999], threads=4)
 
     # x = 0.025 spills at N = 1000 (half-width 0.0056 around 0.0040) but
     # fits at N = 3000 (half-width 0.0025): the smallest N decides

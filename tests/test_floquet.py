@@ -6,6 +6,7 @@ import pytest
 
 from kickspec import floquet
 from kickspec.errors import (
+    EnsembleError,
     ProvenanceError,
     ResourceLimitError,
     TrivialPerturbationError,
@@ -108,6 +109,8 @@ class TestBuildFloquet:
         v = build_floquet(spec, ens, 16)
         assert [f.name for f in dataclasses.fields(v)] == \
             ["spectrum", "ensemble", "theta", "unitarity_defect"]
+        # states of dim entries: the checked ensemble is kept as it is
+        assert v.ensemble is ens
         assert v.dim == len(v.theta) == 16
         assert v.kick_phases == (2.0, -1.4)
         assert np.array_equal(v.u, np.exp(1j * v.theta.values))
@@ -161,6 +164,19 @@ class TestTruncateState:
         state = full_support_state(0.75, 64)
         cut = truncate_state(state, 16)
         assert np.sum(np.abs(cut.coefficients) ** 2) == pytest.approx(1.0)
+        # a longer state gives the matrix a new ensemble of dim entries,
+        # checked again: e0 +- e2 are orthogonal, their cuts to dim 2 are not
+        ensemble = KickEnsemble(states=(state,), strengths=(1.0,))
+        matrix = build_floquet(HARMONIC, ensemble, 16)
+        assert matrix.ensemble is not ensemble
+        assert [s.dim for s in matrix.ensemble.states] == [16]
+        assert np.array_equal(matrix.ensemble.states[0].coefficients,
+                              cut.coefficients)
+        plus, minus = (KickState(coefficients=np.array([1, 0, sign])
+                                 / math.sqrt(2)) for sign in (1, -1))
+        with pytest.raises(EnsembleError, match="states 0 and 1 overlap"):
+            build_floquet(HARMONIC, KickEnsemble(states=(plus, minus),
+                                                 strengths=(1.0, 2.0)), 2)
 
     def test_pads_shorter_states(self):
         state = KickState(coefficients=np.array([1.0 + 0j]))

@@ -96,7 +96,8 @@ class TestSecularAgainstSchur:
         assert_matches_oracle(build_floquet(HARMONIC, ensemble, dim))
 
     @pytest.mark.parametrize("sign", SIGNS)
-    @pytest.mark.parametrize("rank", (2, 4))
+    # rank 7 at dim 8 gives every state a one-index support
+    @pytest.mark.parametrize("rank", (2, 4, 7))
     @pytest.mark.parametrize("dim", (8, 64, 256))
     def test_rank_n_interleaved(self, dim, rank, sign):
         strengths = [sign * (LAMBDAS[k % 3] + 0.1 * k) for k in range(rank)]
@@ -184,6 +185,17 @@ class TestSolverContract:
                                                   strengths=(1.0, 2.0)), 3)
         with pytest.raises(EnsembleError):
             eigen_decompose(matrix)
+
+    def test_non_unitary_matrix_rejected(self):
+        import dataclasses
+
+        # build_floquet cannot produce such a matrix: the state part of the
+        # defect is held near 1e-12 by KickState and KickEnsemble
+        matrix = build_floquet(HARMONIC, KickEnsemble(
+            states=(full_support_state(0.75, 16),), strengths=(1.0,)), 16)
+        broken = dataclasses.replace(matrix, unitarity_defect=1e-3)
+        with pytest.raises(ToleranceError, match="not unitary"):
+            eigen_decompose(broken)
 
     def test_weight_sum_check_raises(self, monkeypatch):
         import kickspec.floquet as floquet

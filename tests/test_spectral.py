@@ -290,6 +290,12 @@ class TestEnsemble:
                       / math.sqrt(2))
         with pytest.raises(EnsembleError):
             KickEnsemble(states=(a, b), strengths=(1.0, 1.0))
+        # the one Gram product names the first overlapping pair k < l
+        e0, e1, e12 = (KickState(coefficients=np.array(c, dtype=complex))
+                       for c in ([1, 0, 0], [0, 1, 0],
+                                 [0, 1 / math.sqrt(2), 1 / math.sqrt(2)]))
+        with pytest.raises(EnsembleError, match="states 1 and 2 overlap"):
+            KickEnsemble(states=(e0, e1, e12), strengths=(1.0, 1.0, 1.0))
 
 
 class TestBInverse:
